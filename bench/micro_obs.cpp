@@ -10,24 +10,36 @@
  *
  *   bare  a direct PowerMoveCompiler loop — no service, no
  *         instrumentation — the floor the service layers sit on
- *   off   CompilationService with obs == nullptr (the shipped default)
- *   on    CompilationService with a full Observability bundle and pass
+ *   off   JobService with obs == nullptr (the shipped default)
+ *   on    JobService with a full Observability bundle and pass
  *         profiling enabled
  *
- * The services are built once, outside the timing, with the memory
- * cache disabled (cache_capacity = 0) and no disk tier, so every timed
- * batch compiles every job fresh; the jobs are distinct QAOA instances
- * so submissions can never coalesce, and batches complete before the
- * next begins so nothing coalesces across repetitions either. All
- * three configurations therefore compile every circuit every time,
- * and with seed derivation disabled they compile the *same* schedules.
+ * The services are built once, outside the timing, as one shard with
+ * one worker, the memory cache disabled (cache_capacity = 0) and no
+ * disk tier, so every timed batch compiles every job fresh; the jobs
+ * are distinct QAOA instances so submissions can never coalesce, and
+ * batches complete before the next begins so nothing coalesces across
+ * repetitions either. All three configurations therefore compile every
+ * circuit every time, and with seed derivation disabled they compile
+ * the *same* schedules.
  *
- * Each measurement round times all three configurations back to back
- * and the gates compare the median of the per-round paired ratios:
- * pairing cancels the frequency scaling / noisy-neighbor drift that
- * min-of-N across three separate measurement windows cannot (a quiet
- * window for one configuration otherwise reads as overhead in the
- * others). Gates:
+ * Noise methodology. Each measurement round times all three
+ * configurations back to back, rotating which one goes first, and the
+ * gates compare the median of the per-round paired ratios: pairing
+ * cancels the frequency scaling / noisy-neighbor drift that min-of-N
+ * across three separate measurement windows cannot (a quiet window for
+ * one configuration otherwise reads as overhead in the others), and
+ * the rotation cancels any first-in-round bias. Work units are deep
+ * (16 QAOA rounds, ~17 ms per configuration per round under --smoke)
+ * so one scheduler hiccup is a small share of a sample, yet short
+ * enough that the three samples of a round stay close in time. Rounds
+ * are many (61 under --smoke, 81 otherwise): on a shared 4-core x86
+ * host, five smoke runs of 21 rounds over 30-round circuits put the
+ * off/bare median anywhere in 0.96-1.01, while 61 rounds over 16-round
+ * circuits kept it within 0.996-1.003. Each median ratio is printed
+ * with a distribution-free 95% confidence interval (order statistics
+ * of the paired ratios), so a reader can tell a real overhead from a
+ * noisy run. Gates:
  *
  *   off / bare < 1.02   the whole service layer — queue, fingerprint,
  *                       cache bookkeeping, AND the disabled-obs
@@ -50,6 +62,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -61,7 +74,7 @@
 #include "harness.hpp"
 #include "obs/observability.hpp"
 #include "report/table.hpp"
-#include "service/service.hpp"
+#include "service/job_service.hpp"
 #include "workloads/qaoa.hpp"
 #include "workloads/suite.hpp"
 
@@ -84,7 +97,7 @@ makeSpecs(bool smoke)
     const std::vector<std::size_t> widths =
         smoke ? std::vector<std::size_t>{60, 90, 120}
               : std::vector<std::size_t>{90, 120, 150};
-    const std::size_t rounds = 10;
+    const std::size_t rounds = 16;
     std::vector<BenchmarkSpec> specs;
     for (const std::size_t n : widths) {
         BenchmarkSpec spec = makeFamilyInstance("QAOA-regular3", n);
@@ -142,11 +155,12 @@ makeJobs(const std::vector<BenchmarkSpec> &specs,
  * A single-worker service with every cache tier off, so each timed
  * batch compiles every job fresh and repetitions do identical work.
  */
-std::unique_ptr<service::CompilationService>
+std::unique_ptr<service::JobService>
 makeService(std::shared_ptr<obs::Observability> obs)
 {
-    service::ServiceOptions options;
-    options.num_workers = 1;
+    service::JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = 1;
     options.cache_capacity = 0;
     // Compile with the verbatim seed, like the bare loop does: the
     // default per-job seed derivation would produce a *different*
@@ -155,7 +169,7 @@ makeService(std::shared_ptr<obs::Observability> obs)
     // paths.
     options.derive_job_seeds = false;
     options.obs = std::move(obs);
-    return std::make_unique<service::CompilationService>(options);
+    return std::make_unique<service::JobService>(options);
 }
 
 /**
@@ -165,21 +179,39 @@ makeService(std::shared_ptr<obs::Observability> obs)
  * of the service overhead under test.
  */
 void
-runBatch(service::CompilationService &svc,
-         std::vector<service::CompileJob> jobs)
+runBatch(service::JobService &svc, std::vector<service::CompileJob> jobs)
 {
-    const std::vector<service::BatchEntry> entries =
-        svc.compileBatch(std::move(jobs));
-    for (const service::BatchEntry &entry : entries)
-        if (!entry.ok())
+    std::vector<service::JobTicket> tickets;
+    tickets.reserve(jobs.size());
+    for (service::CompileJob &job : jobs)
+        tickets.push_back(svc.submit(std::move(job)));
+    for (service::JobTicket &ticket : tickets) {
+        try {
+            (void)ticket.result.get();
+        } catch (const std::exception &error) {
             std::fprintf(stderr, "micro_obs: job failed: %s\n",
-                         entry.error.c_str());
+                         error.what());
+        }
+    }
 }
 
-/** Median of the per-round ratios nom[i] / den[i]. */
-double
-medianPairedRatio(const std::vector<double> &nom,
-                  const std::vector<double> &den)
+/** A median paired ratio with its 95% confidence interval. */
+struct PairedRatio
+{
+    double median = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+/**
+ * Median of the per-round ratios nom[i] / den[i], with the
+ * distribution-free 95% confidence interval for the median: the k-th
+ * smallest and k-th largest ratios, for the largest k such that
+ * P(Binomial(n, 1/2) < k) <= 2.5%. Needs no assumption about the noise
+ * distribution, only that rounds are independent.
+ */
+PairedRatio
+pairedRatio(const std::vector<double> &nom, const std::vector<double> &den)
 {
     std::vector<double> ratios;
     ratios.reserve(nom.size());
@@ -187,7 +219,26 @@ medianPairedRatio(const std::vector<double> &nom,
         if (den[i] > 0.0)
             ratios.push_back(nom[i] / den[i]);
     std::sort(ratios.begin(), ratios.end());
-    return obs::percentileOfSorted(ratios, 0.50);
+    PairedRatio out;
+    if (ratios.empty())
+        return out;
+    out.median = obs::percentileOfSorted(ratios, 0.50);
+
+    const std::size_t n = ratios.size();
+    // Walk the Binomial(n, 1/2) CDF: pmf(i) = C(n, i) / 2^n.
+    double pmf = std::pow(0.5, static_cast<double>(n));
+    double below = 0.0; // P(X < k)
+    std::size_t k = 0;
+    while (k < n / 2 && below + pmf <= 0.025) {
+        below += pmf;
+        pmf *= static_cast<double>(n - k) / static_cast<double>(k + 1);
+        ++k;
+    }
+    // k == 0 means too few rounds for a 95% interval: report the range.
+    const std::size_t lo_index = k == 0 ? 0 : k - 1;
+    out.lo = ratios[lo_index];
+    out.hi = ratios[n - 1 - lo_index];
+    return out;
 }
 
 } // namespace
@@ -211,7 +262,7 @@ main(int argc, char **argv)
 
     const std::vector<BenchmarkSpec> specs = makeSpecs(smoke);
     const std::vector<Circuit> circuits = buildCircuits(specs);
-    const int repeats = smoke ? 7 : 9;
+    const int repeats = smoke ? 61 : 81;
 
     // The enabled run keeps one bundle for the whole measurement —
     // long-lived registries are the deployment shape, and
@@ -235,21 +286,32 @@ main(int argc, char **argv)
     // Interleaved rounds: each round times all three configurations
     // back to back, so frequency scaling, thermal drift, and noisy
     // neighbors hit every configuration equally instead of biasing
-    // whichever one was measured in the slow window. min-of-N across
-    // rounds then compares like with like.
-    std::vector<double> bare_us, off_us, on_us;
-    bare_us.reserve(static_cast<std::size_t>(repeats));
-    off_us.reserve(static_cast<std::size_t>(repeats));
-    on_us.reserve(static_cast<std::size_t>(repeats));
+    // whichever one was measured in the slow window. The order rotates
+    // per round so no configuration always runs first (or last).
+    std::vector<double> bare_us(static_cast<std::size_t>(repeats));
+    std::vector<double> off_us(static_cast<std::size_t>(repeats));
+    std::vector<double> on_us(static_cast<std::size_t>(repeats));
     for (int i = 0; i < repeats; ++i) {
-        bare_us.push_back(bench::onceWallMicros(
-            [&] { runBare(specs, circuits, false); }));
+        const std::size_t round = static_cast<std::size_t>(i);
+        // Copies of the job lists are made untimed, before the round.
         std::vector<service::CompileJob> off_batch = plain_jobs;
-        off_us.push_back(bench::onceWallMicros(
-            [&] { runBatch(*svc_off, std::move(off_batch)); }));
         std::vector<service::CompileJob> on_batch = profiled_jobs;
-        on_us.push_back(bench::onceWallMicros(
-            [&] { runBatch(*svc_on, std::move(on_batch)); }));
+        for (std::size_t slot = 0; slot < 3; ++slot) {
+            switch ((round + slot) % 3) {
+              case 0:
+                bare_us[round] = bench::onceWallMicros(
+                    [&] { runBare(specs, circuits, false); });
+                break;
+              case 1:
+                off_us[round] = bench::onceWallMicros(
+                    [&] { runBatch(*svc_off, std::move(off_batch)); });
+                break;
+              default:
+                on_us[round] = bench::onceWallMicros(
+                    [&] { runBatch(*svc_on, std::move(on_batch)); });
+                break;
+            }
+        }
     }
     const bench::WallStats bare =
         bench::wallStatsFromSamples(std::move(bare_us));
@@ -264,25 +326,31 @@ main(int argc, char **argv)
             std::string::npos &&
         exposition.find("powermove_pass_wall_us") != std::string::npos;
 
-    const double off_ratio =
-        medianPairedRatio(off.samples_us, bare.samples_us);
-    const double on_ratio = medianPairedRatio(on.samples_us, off.samples_us);
+    const PairedRatio off_pair = pairedRatio(off.samples_us, bare.samples_us);
+    const PairedRatio on_pair = pairedRatio(on.samples_us, off.samples_us);
+    const double off_ratio = off_pair.median;
+    const double on_ratio = on_pair.median;
     const double kOffBound = 1.02;
     const double kOnBound = 1.25;
 
     TextTable table({"config", "min ms", "p50 ms", "p95 ms", "vs",
-                     "med ratio", "bound"});
+                     "med ratio", "95% CI", "bound"});
     const auto row = [&](const char *name, const bench::WallStats &stats,
-                         const char *vs, double ratio, double bound) {
+                         const char *vs, const PairedRatio &ratio,
+                         double bound) {
+        const bool paired = ratio.median > 0.0;
         table.addRow({name, bench::fmt(stats.min_us / 1000.0, "%.2f"),
                       bench::fmt(stats.p50_us / 1000.0, "%.2f"),
                       bench::fmt(stats.p95_us / 1000.0, "%.2f"), vs,
-                      ratio > 0.0 ? bench::fmt(ratio, "%.3f") : "-",
+                      paired ? bench::fmt(ratio.median, "%.3f") : "-",
+                      paired ? bench::fmt(ratio.lo, "[%.3f, ") +
+                                   bench::fmt(ratio.hi, "%.3f]")
+                             : "-",
                       bound > 0.0 ? bench::fmt(bound, "< %.2f") : "-"});
     };
-    row("bare compile loop", bare, "-", 0.0, 0.0);
-    row("service, obs off", off, "bare", off_ratio, kOffBound);
-    row("service, obs on", on, "off", on_ratio, kOnBound);
+    row("bare compile loop", bare, "-", PairedRatio{}, 0.0);
+    row("service, obs off", off, "bare", off_pair, kOffBound);
+    row("service, obs on", on, "off", on_pair, kOnBound);
     std::printf("%zu jobs x %d repeats%s\n%s\n", specs.size(), repeats,
                 smoke ? " (smoke)" : "", table.toString().c_str());
 
@@ -302,7 +370,13 @@ main(int argc, char **argv)
             << ",\n  \"off_p95_us\": " << bench::fmt(off.p95_us, "%.1f")
             << ",\n  \"on_p95_us\": " << bench::fmt(on.p95_us, "%.1f")
             << ",\n  \"off_over_bare\": " << bench::fmt(off_ratio, "%.4f")
+            << ",\n  \"off_over_bare_ci\": ["
+            << bench::fmt(off_pair.lo, "%.4f") << ", "
+            << bench::fmt(off_pair.hi, "%.4f") << "]"
             << ",\n  \"on_over_off\": " << bench::fmt(on_ratio, "%.4f")
+            << ",\n  \"on_over_off_ci\": ["
+            << bench::fmt(on_pair.lo, "%.4f") << ", "
+            << bench::fmt(on_pair.hi, "%.4f") << "]"
             << ",\n  \"off_bound\": " << bench::fmt(kOffBound, "%.2f")
             << ",\n  \"on_bound\": " << bench::fmt(kOnBound, "%.2f")
             << ",\n  \"recorded\": " << (counted ? "true" : "false")

@@ -5,8 +5,9 @@
  *
  * Three sections:
  *
- *  1. Worker scaling — the Table 2 suite through the synchronous
- *     CompilationService at 1/2/4/8 workers: cold batch wall time,
+ *  1. Worker scaling — the Table 2 suite through the JobService at
+ *     1/2/4/8 workers (sized like the CLI's --jobs N: min(N, 4) shards
+ *     of max(1, N / shards) workers): cold batch wall time,
  *     aggregate throughput, speedup over serial, and a warm second pass
  *     that must be served entirely from the memory cache. A cross-pool
  *     determinism check asserts every pool size reproduces the serial
@@ -52,13 +53,11 @@
 #include "common/rng.hpp"
 #include "report/table.hpp"
 #include "service/job_service.hpp"
-#include "service/service.hpp"
 #include "workloads/suite.hpp"
 
 namespace {
 
 using namespace powermove;
-using service::CompilationService;
 using service::JobService;
 
 double
@@ -137,7 +136,31 @@ struct DiskSummary
     double required = 0.0;
 };
 
-/** Section 1: CompilationService worker scaling + determinism gate. */
+/**
+ * Submits every job to @p svc, then waits for all of them into @p out.
+ * Returns false (after reporting) if any job failed.
+ */
+bool
+runBatch(JobService &svc, const std::vector<service::CompileJob> &jobs,
+         std::vector<service::JobResult> &out)
+{
+    std::vector<service::JobTicket> tickets;
+    tickets.reserve(jobs.size());
+    for (const service::CompileJob &job : jobs)
+        tickets.push_back(svc.submit(job));
+    out.clear();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        try {
+            out.push_back(tickets[i].result.get());
+        } catch (const std::exception &error) {
+            std::fprintf(stderr, "job %zu failed: %s\n", i, error.what());
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Section 1: JobService worker scaling + determinism gate. */
 int
 runScaling(const std::vector<service::CompileJob> &jobs, int repeats,
            std::vector<ScalingRow> &rows)
@@ -158,34 +181,33 @@ runScaling(const std::vector<service::CompileJob> &jobs, int repeats,
         std::size_t warm_hits = 0;
 
         for (int repeat = 0; repeat < repeats; ++repeat) {
-            service::ServiceOptions pool;
-            pool.num_workers = workers;
+            service::JobServiceOptions pool;
+            pool.num_shards = std::min<std::size_t>(workers, 4);
+            pool.workers_per_shard =
+                std::max<std::size_t>(1, workers / pool.num_shards);
             pool.cache_capacity = 2 * jobs.size();
-            CompilationService svc(pool);
+            JobService svc(pool);
 
+            std::vector<service::JobResult> cold;
+            std::vector<service::JobResult> warm;
             const auto cold_start = std::chrono::steady_clock::now();
-            const auto cold = svc.compileBatch(jobs);
+            if (!runBatch(svc, jobs, cold))
+                return 1;
             const auto cold_stop = std::chrono::steady_clock::now();
             best_cold_ms =
                 std::min(best_cold_ms, wallMillis(cold_start, cold_stop));
 
             const auto warm_start = std::chrono::steady_clock::now();
-            const auto warm = svc.compileBatch(jobs);
+            if (!runBatch(svc, jobs, warm))
+                return 1;
             const auto warm_stop = std::chrono::steady_clock::now();
             warm_ms = wallMillis(warm_start, warm_stop);
 
             fidelity.clear();
             warm_hits = 0;
             for (std::size_t i = 0; i < jobs.size(); ++i) {
-                if (!cold[i].ok() || !warm[i].ok()) {
-                    std::fprintf(stderr, "job %zu failed: %s\n", i,
-                                 (cold[i].ok() ? warm[i] : cold[i])
-                                     .error.c_str());
-                    return 1;
-                }
-                fidelity.push_back(
-                    cold[i].result.result->metrics.fidelity());
-                if (warm[i].result.from_cache)
+                fidelity.push_back(cold[i].result->metrics.fidelity());
+                if (warm[i].from_cache)
                     ++warm_hits;
             }
         }

@@ -18,6 +18,9 @@ MachineConfig::forQubits(std::size_t num_qubits)
 {
     if (num_qubits == 0)
         fatal("machine requires at least one qubit");
+    if (num_qubits > kMaxQubits)
+        fatal("machine ceiling is " + std::to_string(kMaxQubits) +
+              " qubits, got " + std::to_string(num_qubits));
     const auto side = static_cast<std::int32_t>(
         std::ceil(std::sqrt(static_cast<double>(num_qubits))));
     MachineConfig config;

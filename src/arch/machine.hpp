@@ -44,8 +44,17 @@ struct MachineConfig
     HardwareParams params;
 
     /**
+     * Largest program forQubits() sizes a machine for: a 1024 x 1024
+     * compute grid over three million sites, far beyond any array the
+     * paper models. Front ends reject larger programs with a typed
+     * error before allocating anything for them.
+     */
+    static constexpr std::size_t kMaxQubits = std::size_t{1} << 20;
+
+    /**
      * The paper's default zone shape for an @p num_qubits-qubit program:
      * compute ceil(sqrt(n))^2 sites, storage ceil(sqrt(n)) * 2ceil(sqrt(n)).
+     * Throws ConfigError for 0 or more than kMaxQubits qubits.
      */
     static MachineConfig forQubits(std::size_t num_qubits);
 

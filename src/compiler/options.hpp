@@ -3,7 +3,7 @@
  * PowerMove compiler configuration.
  *
  * Fingerprint invariant: every field of CompilerOptions must be hashed
- * by service::fingerprintOptions() — the batch service's compile cache
+ * by service::fingerprintOptions() — the job service's compile cache
  * addresses results by that hash, so an unhashed field would let two
  * different configurations share a cache entry. fingerprint.cpp guards
  * the invariant with a sizeof static_assert and fingerprint_test.cpp
@@ -42,7 +42,7 @@ struct CompilerOptions
      *
      * Determinism rule for batched compilation: a job's randomized
      * decisions must depend only on (seed, job content) — never on which
-     * worker thread runs it or on queue interleaving. The batch service
+     * worker thread runs it or on queue interleaving. The job service
      * therefore compiles each job with a *derived* seed,
      * service::deriveJobSeed(seed, job fingerprint), which mixes this
      * base seed with the content address of (circuit, machine config,

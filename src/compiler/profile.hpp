@@ -4,7 +4,7 @@
  *
  * Every pipeline pass is timed and may publish named counters; the
  * resulting PassProfiles travel inside CompileResult so that callers —
- * the CLI's --profile flag, the batch service's aggregate stats, and
+ * the CLI's --profile flag and its `--stats` pass totals, and
  * bench/micro_passes — can attribute compile time to individual passes.
  *
  * Wall times are measurement noise by nature; everything else (the
@@ -133,8 +133,8 @@ class PassProfiler
 
 /**
  * Accumulates @p from into @p into: wall times and invocations add up,
- * counters merge by name. Used by the batch service to aggregate pass
- * totals across every job it compiles.
+ * counters merge by name. Used by the CLI to aggregate pass totals
+ * across every job a service worker compiled.
  */
 void mergePassProfiles(std::vector<PassProfile> &into,
                        const std::vector<PassProfile> &from);

@@ -4,7 +4,7 @@
  *
  * One Observability instance groups the three signal planes — a
  * MetricsRegistry, a TraceCollector, and a Logger — behind a single
- * shared_ptr that ServiceOptions / JobServiceOptions / DiskCacheOptions
+ * shared_ptr that JobServiceOptions and DiskCacheOptions
  * carry. A null bundle means "observability off": every instrumented
  * call site guards on the pointer, so the disabled path costs one
  * branch and the compile pipeline itself is never touched (its

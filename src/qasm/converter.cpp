@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "arch/machine.hpp"
 #include "common/error.hpp"
 #include "qasm/parser.hpp"
 
@@ -26,6 +27,14 @@ struct RegisterTable
     {
         if (regs.contains(decl.name))
             throw ParseError("register '" + decl.name + "' redeclared", 0, 0);
+        // Each register passed the parser's ceiling check; their sum
+        // must too, before Circuit allocates per-qubit state for it.
+        if (decl.size > MachineConfig::kMaxQubits - total)
+            throw ParseError("registers declare more than the machine "
+                             "ceiling of " +
+                                 std::to_string(MachineConfig::kMaxQubits) +
+                                 " qubits",
+                             0, 0);
         regs.emplace(decl.name,
                      std::make_pair(static_cast<QubitId>(total), decl.size));
         total += decl.size;

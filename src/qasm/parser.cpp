@@ -3,12 +3,59 @@
 #include <cmath>
 #include <numbers>
 
+#include "arch/machine.hpp"
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
 
 namespace powermove::qasm {
 
 namespace {
+
+/**
+ * Deepest expression nesting the parser accepts. Every level of nested
+ * parentheses, function call, unary minus, or right-associative '^' is
+ * one recursive descent; checking the depth before recursing turns a
+ * hostile input (thousands of nested parentheses) into a ParseError
+ * instead of a stack overflow. Real programs nest a handful of levels.
+ */
+constexpr std::size_t kMaxExprDepth = 256;
+
+/**
+ * Longest parameter expression, in tokens, the parser accepts. A
+ * left-associative chain like `1 + 1 + ...` parses in a loop but nests
+ * one tree level per operator, and evaluating or destroying the tree
+ * recurses once per level; the tree's height is bounded by its token
+ * count, so this bound keeps those recursions shallow too.
+ */
+constexpr std::size_t kMaxExprTokens = 4096;
+
+/**
+ * A Binary node over @p lhs and @p rhs, moved in: an initializer list
+ * would deep-copy both subtrees, which is quadratic over a long
+ * `a + b + c + ...` chain.
+ */
+Expr
+binaryNode(char op, Expr lhs, Expr rhs)
+{
+    Expr node;
+    node.kind = ExprKind::Binary;
+    node.op = op;
+    node.children.reserve(2);
+    node.children.push_back(std::move(lhs));
+    node.children.push_back(std::move(rhs));
+    return node;
+}
+
+/** A Unary or Call node over @p child, moved in. */
+Expr
+unaryNode(ExprKind kind, Expr child, std::string name = {})
+{
+    Expr node;
+    node.kind = kind;
+    node.name = std::move(name);
+    node.children.push_back(std::move(child));
+    return node;
+}
 
 class Parser
 {
@@ -120,6 +167,15 @@ class Parser
         const Token &size = expect(TokenKind::Integer, "as register size");
         expect(TokenKind::RBracket, "in register declaration");
         expect(TokenKind::Semicolon, "after register declaration");
+        // Checked on the token's value before the cast (and long before
+        // anything is sized by it): a register no machine can hold is a
+        // parse error, not an allocation failure.
+        if (size.number > static_cast<double>(MachineConfig::kMaxQubits))
+            throw ParseError("register size " + size.text +
+                                 " exceeds the machine ceiling of " +
+                                 std::to_string(MachineConfig::kMaxQubits) +
+                                 " qubits",
+                             size.line, size.column);
         decl.size = static_cast<std::size_t>(size.number);
         if (decl.size == 0)
             throw ParseError("register size must be positive", size.line,
@@ -175,7 +231,7 @@ class Parser
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
                 do {
-                    call.params.push_back(parseExpr());
+                    call.params.push_back(parseParam());
                 } while (match(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "after gate arguments");
@@ -201,7 +257,7 @@ class Parser
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
                 do {
-                    call.params.push_back(parseExpr());
+                    call.params.push_back(parseParam());
                 } while (match(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "after gate parameters");
@@ -257,17 +313,54 @@ class Parser
 
     // ---- expression grammar: additive > multiplicative > power > unary ----
 
+    /** One open expression nesting level; see kMaxExprDepth. */
+    class Nesting
+    {
+      public:
+        explicit Nesting(std::size_t &depth) : depth_(depth) { ++depth_; }
+        ~Nesting() { --depth_; }
+        Nesting(const Nesting &) = delete;
+        Nesting &operator=(const Nesting &) = delete;
+
+      private:
+        std::size_t &depth_;
+    };
+
+    /** Opens one more nesting level, or throws a ParseError here. */
+    [[nodiscard]] Nesting
+    nest()
+    {
+        if (expr_depth_ >= kMaxExprDepth)
+            errorHere("expression nested deeper than " +
+                      std::to_string(kMaxExprDepth) + " levels");
+        return Nesting(expr_depth_);
+    }
+
+    /** One gate-call parameter: a full expression, bounded in length. */
+    Expr
+    parseParam()
+    {
+        expr_start_ = pos_;
+        return parseExpr();
+    }
+
+    /** Throws once the current parameter exceeds kMaxExprTokens. */
+    void
+    checkExprLength() const
+    {
+        if (pos_ - expr_start_ > kMaxExprTokens)
+            errorHere("expression longer than " +
+                      std::to_string(kMaxExprTokens) + " tokens");
+    }
+
     Expr
     parseExpr()
     {
         Expr left = parseTerm();
         while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
+            checkExprLength();
             const char op = advance().kind == TokenKind::Plus ? '+' : '-';
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = op;
-            node.children = {std::move(left), parseTerm()};
-            left = std::move(node);
+            left = binaryNode(op, std::move(left), parseTerm());
         }
         return left;
     }
@@ -277,12 +370,9 @@ class Parser
     {
         Expr left = parsePower();
         while (check(TokenKind::Star) || check(TokenKind::Slash)) {
+            checkExprLength();
             const char op = advance().kind == TokenKind::Star ? '*' : '/';
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = op;
-            node.children = {std::move(left), parsePower()};
-            left = std::move(node);
+            left = binaryNode(op, std::move(left), parsePower());
         }
         return left;
     }
@@ -293,12 +383,9 @@ class Parser
         Expr base = parseUnary();
         if (check(TokenKind::Caret)) {
             advance();
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = '^';
+            const Nesting level = nest();
             // Right associative.
-            node.children = {std::move(base), parsePower()};
-            return node;
+            return binaryNode('^', std::move(base), parsePower());
         }
         return base;
     }
@@ -307,10 +394,8 @@ class Parser
     parseUnary()
     {
         if (match(TokenKind::Minus)) {
-            Expr node;
-            node.kind = ExprKind::Unary;
-            node.children = {parseUnary()};
-            return node;
+            const Nesting level = nest();
+            return unaryNode(ExprKind::Unary, parseUnary());
         }
         return parsePrimary();
     }
@@ -331,9 +416,8 @@ class Parser
         if (check(TokenKind::Identifier)) {
             const Token &name = advance();
             if (match(TokenKind::LParen)) {
-                node.kind = ExprKind::Call;
-                node.name = name.text;
-                node.children = {parseExpr()};
+                const Nesting level = nest();
+                node = unaryNode(ExprKind::Call, parseExpr(), name.text);
                 expect(TokenKind::RParen, "after function argument");
                 return node;
             }
@@ -342,6 +426,7 @@ class Parser
             return node;
         }
         if (match(TokenKind::LParen)) {
+            const Nesting level = nest();
             Expr inner = parseExpr();
             expect(TokenKind::RParen, "to close the expression");
             return inner;
@@ -352,6 +437,10 @@ class Parser
 
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    /** Open expression nesting levels (see kMaxExprDepth). */
+    std::size_t expr_depth_ = 0;
+    /** First token of the parameter being parsed (see kMaxExprTokens). */
+    std::size_t expr_start_ = 0;
 };
 
 } // namespace

@@ -5,10 +5,9 @@
  * Keys are job fingerprints (service/fingerprint.hpp); values are
  * shared, immutable CompileResults, so evicting an entry never
  * invalidates a result already handed to a client. The cache is a plain
- * data structure with *no internal locking* — CompilationService
- * guards it with its own mutex so that lookup-miss / mark-in-flight can
- * be one atomic step. Hit, miss, and eviction counters feed
- * ServiceStats.
+ * data structure with *no internal locking* — each JobService shard
+ * guards its cache with the shard mutex so that lookup-miss /
+ * mark-in-flight can be one atomic step.
  */
 
 #ifndef POWERMOVE_SERVICE_CACHE_HPP

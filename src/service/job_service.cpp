@@ -117,6 +117,10 @@ JobService::submit(JobRequest request)
                 QueueEntry{pending.priority, pending.seq, fingerprint});
         }
         pending.waiters.push_back(std::move(waiter));
+        // Record Admitted before a worker can see the waiter: once the
+        // lock drops, the job may reach a terminal state at any moment,
+        // and a late Admitted would overwrite it.
+        recordState(id, JobState::Admitted);
         lock.unlock();
         {
             const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -126,7 +130,6 @@ JobService::submit(JobRequest request)
             metric_->tier_total[static_cast<std::size_t>(
                                     TierIndex::Coalesced)]
                 ->add(1);
-        recordState(id, JobState::Admitted);
         shard.work_ready.notify_one();
         return JobTicket{id, std::move(future)};
     }
@@ -178,9 +181,9 @@ JobService::submit(JobRequest request)
     ++shard.queued_jobs;
     if (shard.depth_gauge != nullptr)
         shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+    recordState(id, JobState::Admitted); // under the lock, as above
     lock.unlock();
 
-    recordState(id, JobState::Admitted);
     shard.work_ready.notify_one();
     return JobTicket{id, std::move(future)};
 }

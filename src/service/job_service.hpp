@@ -1,13 +1,18 @@
 /**
  * @file
- * Async job service: priorities, deadlines, admission control, and
- * fingerprint-sharded worker pools over the compile/cache core.
+ * The compilation service: a sharded worker pool behind a
+ * content-addressed cache, with priorities, deadlines, and admission
+ * control.
  *
- * Where CompilationService is a batch front-end (submit, block on the
- * future), JobService is the production server shape: submit() returns
- * immediately with a job ID plus a future, every lifecycle transition
- * lands in a queryable per-job timeline (service/timeline.hpp), and the
- * service pushes back instead of buffering unboundedly.
+ * submit() returns immediately with a job ID plus a future; every
+ * lifecycle transition lands in a queryable per-job timeline
+ * (service/timeline.hpp), and the service pushes back instead of
+ * buffering unboundedly. Each submission resolves against four tiers:
+ * an identical job already in flight (the new future attaches to it),
+ * the shard's in-memory LRU cache (the future is ready at submit), the
+ * optional persistent disk cache (a worker deserializes the stored
+ * schedule), or a fresh compile. Failures propagate as exceptions
+ * through every waiting future and are never cached.
  *
  *  - Priority: higher-priority jobs pop first within their shard; ties
  *    run in submission order. A duplicate submission of an in-flight
@@ -29,13 +34,19 @@
  *    and machine interning, so jobs for independent machine configs
  *    never contend on one queue or one cache lock. All shards share
  *    one persistent DiskCache (its index lock covers bookkeeping only,
- *    never file I/O or deserialization).
+ *    never file I/O or deserialization). Machines are interned per
+ *    shard by config and held weakly: a machine lives exactly as long
+ *    as some cache entry or client JobResult references it.
  *
- * Determinism matches CompilationService: each job compiles with the
- * deriveJobSeed() rule, so results are independent of shard count,
+ * Determinism: each job compiles with the deriveJobSeed() rule
+ * (service/job.hpp), so results are independent of shard count,
  * worker count, priority order, and cache state — effectiveOptions()
  * replays any job bit-identically outside the service, and a result
  * served from disk is byte-identical to a fresh compile.
+ *
+ * Thread safety: every public member function may be called from any
+ * thread. The Machine, Circuit, and CompileResult objects handed out
+ * are immutable and safe to read concurrently.
  */
 
 #ifndef POWERMOVE_SERVICE_JOB_SERVICE_HPP
@@ -57,9 +68,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "service/cache.hpp"
 #include "service/disk_cache.hpp"
+#include "service/job.hpp"
 #include "service/observe.hpp"
-#include "service/service.hpp"
 #include "service/timeline.hpp"
 
 namespace powermove::service {
@@ -136,7 +148,11 @@ struct JobServiceOptions
     std::string cache_dir;
     /** Disk-cache byte budget. */
     std::uint64_t disk_cache_bytes = 256ull << 20;
-    /** Apply the deriveJobSeed() rule (see ServiceOptions). */
+    /**
+     * Apply the deriveJobSeed() rule (the default). Disable to compile
+     * every job with its verbatim CompilerOptions::seed, matching a
+     * direct PowerMoveCompiler invocation.
+     */
     bool derive_job_seeds = true;
     /**
      * Finished-job records retained for status() queries; the oldest
@@ -315,6 +331,7 @@ class JobService
     std::shared_ptr<DiskCache> disk_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
+    /** May be taken under a shard mutex, never the other way round. */
     mutable std::mutex records_mutex_;
     std::unordered_map<JobId, JobStatus> records_;
     /** Finished ids in finish order, for max_finished_records pruning. */

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for the async JobService: lifecycle timelines, priority
- * ordering, deadline expiry, admission control, sharding, the disk
- * tier, and determinism against the effectiveOptions() replay rule.
+ * Tests for the JobService: lifecycle timelines, priority ordering,
+ * deadline expiry, admission control, sharding, the memory cache (LRU
+ * eviction, zero capacity), coalescing, machine interning and expiry,
+ * failure propagation, the disk tier, and determinism against the
+ * effectiveOptions() replay rule and across pool sizes.
  */
 
 #include <gtest/gtest.h>
@@ -11,15 +13,20 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "compiler/powermove.hpp"
+#include "isa/json.hpp"
 #include "isa/validator.hpp"
+#include "obs/observability.hpp"
 #include "service/disk_cache.hpp"
 #include "service/fingerprint.hpp"
 #include "service/job_service.hpp"
+#include "workloads/suite.hpp"
 
 namespace powermove::service {
 namespace {
@@ -60,6 +67,27 @@ smallJob(std::size_t variant = 1)
         circuit.barrier();
     }
     return CompileJob{std::move(circuit), MachineConfig::forQubits(4), {}};
+}
+
+/** 9 qubits on a 4-qubit machine in storage-free mode: a ConfigError. */
+CompileJob
+tooBigJob()
+{
+    Circuit circuit(9);
+    circuit.append(CzGate{0, 1});
+    CompileJob job{std::move(circuit), MachineConfig::forQubits(4), {}};
+    job.options.use_storage = false;
+    return job;
+}
+
+/** The 23-entry Table 2 suite as service jobs. */
+std::vector<CompileJob>
+suiteJobs()
+{
+    std::vector<CompileJob> jobs;
+    for (const BenchmarkSpec &spec : table2Suite())
+        jobs.push_back(CompileJob{spec.build(), spec.machine_config, {}});
+    return jobs;
 }
 
 /** JobServiceOptions with just the geometry and cache capacity set. */
@@ -112,6 +140,7 @@ TEST(JobServiceTest, SubmitReturnsIdAndTracksLifecycle)
     const JobResult out = ticket.result.get();
     ASSERT_TRUE(out.result);
     EXPECT_EQ(out.source, ResultSource::Compiled);
+    EXPECT_FALSE(out.from_cache);
     EXPECT_EQ(out.fingerprint, jobFingerprint(job));
     validateAgainstCircuit(out.result->schedule, job.circuit);
 
@@ -140,12 +169,14 @@ TEST(JobServiceTest, MemoryHitResolvesAtSubmitAsCached)
 {
     JobService svc(shardOptions(1, 1, 16));
     const CompileJob job = smallJob();
-    (void)svc.submit(job).result.get();
+    const JobResult first = svc.submit(job).result.get();
 
     JobTicket second = svc.submit(job);
     const JobResult out = second.result.get();
     EXPECT_EQ(out.source, ResultSource::Memory);
     EXPECT_TRUE(out.from_cache);
+    EXPECT_EQ(out.result.get(), first.result.get()); // shared, not copied
+    EXPECT_EQ(out.machine.get(), first.machine.get());
 
     const auto status = svc.status(second.id);
     ASSERT_TRUE(status.has_value());
@@ -157,6 +188,141 @@ TEST(JobServiceTest, MemoryHitResolvesAtSubmitAsCached)
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.compiled, 1u);
     EXPECT_EQ(stats.memory_hits, 1u);
+
+    // Different options are a different cache entry: a fresh compile.
+    CompileJob reseeded = smallJob();
+    reseeded.options.seed += 1;
+    EXPECT_EQ(svc.submit(reseeded).result.get().source,
+              ResultSource::Compiled);
+    EXPECT_EQ(svc.stats().memory_hits, 1u);
+    EXPECT_EQ(svc.stats().compiled, 2u);
+}
+
+TEST(JobServiceTest, LruEvictionDropsTheColdestEntry)
+{
+    JobService svc(shardOptions(1, 1, 2)); // room for two results
+    (void)svc.submit(smallJob(1)).result.get();
+    (void)svc.submit(smallJob(2)).result.get();
+    (void)svc.submit(smallJob(3)).result.get(); // evicts job 1
+
+    // Job 1 was evicted: resubmission misses and recompiles (and in turn
+    // evicts job 2, the new least-recently-used entry).
+    EXPECT_EQ(svc.submit(smallJob(1)).result.get().source,
+              ResultSource::Compiled);
+    // Job 3 stayed resident; job 2 is gone.
+    EXPECT_EQ(svc.submit(smallJob(3)).result.get().source,
+              ResultSource::Memory);
+    EXPECT_EQ(svc.submit(smallJob(2)).result.get().source,
+              ResultSource::Compiled);
+    EXPECT_EQ(svc.stats().compiled, 5u);
+    EXPECT_EQ(svc.stats().memory_hits, 1u);
+}
+
+TEST(JobServiceTest, ZeroCapacityDisablesCaching)
+{
+    JobService svc(shardOptions(1, 2, 0));
+    (void)svc.submit(smallJob()).result.get();
+    const JobResult second = svc.submit(smallJob()).result.get();
+    EXPECT_FALSE(second.from_cache);
+    EXPECT_EQ(second.source, ResultSource::Compiled);
+    EXPECT_EQ(svc.stats().compiled, 2u);
+    EXPECT_EQ(svc.stats().memory_hits, 0u);
+}
+
+TEST(JobServiceTest, IdenticalSubmissionsCompileExactlyOnce)
+{
+    JobService svc(shardOptions(2, 2, 16));
+    const CompileJob job = smallJob();
+
+    std::vector<JobTicket> tickets;
+    for (int i = 0; i < 16; ++i)
+        tickets.push_back(svc.submit(job));
+    for (JobTicket &ticket : tickets)
+        EXPECT_TRUE(ticket.result.get().result != nullptr);
+
+    // Every duplicate either coalesced onto the in-flight job or hit the
+    // cache; exactly one compilation ever ran.
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 16u);
+    EXPECT_EQ(stats.compiled, 1u);
+    EXPECT_EQ(stats.coalesced + stats.memory_hits, 15u);
+}
+
+TEST(JobServiceTest, MachinesAreInternedAcrossJobs)
+{
+    JobService svc(shardOptions(1, 2, 16));
+    const JobResult a = svc.submit(smallJob(1)).result.get();
+    const JobResult b = svc.submit(smallJob(2)).result.get();
+    ASSERT_TRUE(a.machine);
+    EXPECT_EQ(a.machine.get(), b.machine.get());
+    EXPECT_EQ(&a.result->schedule.machine(), a.machine.get());
+    EXPECT_EQ(&b.result->schedule.machine(), a.machine.get());
+}
+
+TEST(JobServiceTest, MachinesExpireOnceNothingReferencesThem)
+{
+    JobService svc(shardOptions(1, 1, 1)); // cache holds exactly one result
+
+    // Job on config X; its JobResult (the only client ref) is dropped
+    // at once, leaving the cache entry as the machine's sole owner.
+    std::weak_ptr<const Machine> config_x =
+        svc.submit(smallJob(1)).result.get().machine;
+    EXPECT_FALSE(config_x.expired());
+
+    // A cached hit must still carry the live interned machine. Scoped so
+    // this JobResult's machine reference dies before the eviction below.
+    {
+        const JobResult hit = svc.submit(smallJob(1)).result.get();
+        ASSERT_TRUE(hit.from_cache);
+        ASSERT_TRUE(hit.machine);
+        EXPECT_EQ(hit.machine.get(), config_x.lock().get());
+        EXPECT_EQ(hit.machine->config().compute_cols, 2);
+    }
+
+    // Config Y evicts X's entry; with no cache entry and no client
+    // holding X's machine, the weak intern expires.
+    Circuit nine(9);
+    nine.append(CzGate{0, 8});
+    const JobResult y =
+        svc.submit(CompileJob{nine, MachineConfig::forQubits(9), {}})
+            .result.get();
+    EXPECT_EQ(y.machine->config().compute_cols, 3);
+    EXPECT_TRUE(config_x.expired());
+
+    // Compiling for X again rebuilds a live machine for it.
+    const JobResult again = svc.submit(smallJob(2)).result.get();
+    ASSERT_TRUE(again.machine);
+    EXPECT_EQ(again.machine->config().compute_cols, 2);
+    EXPECT_EQ(&again.result->schedule.machine(), again.machine.get());
+}
+
+TEST(JobServiceTest, CachedResultOutlivesEvictionAndService)
+{
+    JobResult kept;
+    {
+        JobService svc(shardOptions(1, 1, 1));
+        kept = svc.submit(smallJob(1)).result.get();
+        (void)svc.submit(smallJob(2)).result.get(); // evicts job 1's entry
+    }
+    // The schedule's machine reference must survive both the eviction
+    // and the service's destruction because the JobResult co-owns it.
+    ASSERT_TRUE(kept.result);
+    validateAgainstCircuit(kept.result->schedule, smallJob(1).circuit);
+    EXPECT_EQ(&kept.result->schedule.machine(), kept.machine.get());
+}
+
+TEST(JobServiceTest, WaitIdleDrainsTheQueue)
+{
+    JobService svc(shardOptions(2, 2, 64));
+    std::vector<JobTicket> tickets;
+    for (std::size_t v = 1; v <= 12; ++v)
+        tickets.push_back(svc.submit(smallJob(v)));
+    svc.waitIdle();
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.compiled + stats.failed, 12u);
+    EXPECT_EQ(stats.queued, 0u);
+    for (JobTicket &ticket : tickets)
+        EXPECT_TRUE(ticket.result.get().result != nullptr);
 }
 
 TEST(JobServiceTest, FailureIsRecordedWithItsMessage)
@@ -172,6 +338,34 @@ TEST(JobServiceTest, FailureIsRecordedWithItsMessage)
     ASSERT_TRUE(status.has_value());
     EXPECT_EQ(status->state, JobState::Failed);
     EXPECT_FALSE(status->error.empty());
+    EXPECT_EQ(svc.stats().failed, 1u);
+
+    // A config error raised inside the compile propagates the same way,
+    // and failures are never cached: resubmission fails afresh.
+    EXPECT_THROW(svc.submit(tooBigJob()).result.get(), ConfigError);
+    EXPECT_EQ(svc.stats().failed, 2u);
+    EXPECT_THROW(svc.submit(tooBigJob()).result.get(), ConfigError);
+    EXPECT_EQ(svc.stats().failed, 3u);
+    EXPECT_EQ(svc.stats().memory_hits, 0u);
+}
+
+TEST(JobServiceTest, OneFailedJobNeverHidesTheOthers)
+{
+    JobService svc(shardOptions(2, 1, 16));
+    JobTicket good1 = svc.submit(smallJob(1));
+    JobTicket bad = svc.submit(tooBigJob());
+    JobTicket good2 = svc.submit(smallJob(2));
+
+    EXPECT_TRUE(good1.result.get().result != nullptr);
+    try {
+        (void)bad.result.get();
+        ADD_FAILURE() << "the oversized job compiled";
+    } catch (const ConfigError &error) {
+        EXPECT_NE(std::string(error.what()).find("too small"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(good2.result.get().result != nullptr);
+    EXPECT_EQ(svc.stats().compiled, 2u);
     EXPECT_EQ(svc.stats().failed, 1u);
 }
 
@@ -288,6 +482,29 @@ TEST(JobServiceTest, ExpiredDeadlineFailsWhileQueuedJobs)
     svc.waitIdle();
 }
 
+TEST(JobServiceTest, TerminalStateSurvivesAnIdleWorkerRace)
+{
+    // Workers of a fresh service find the queue non-empty without waiting
+    // for a wake-up, so a job can expire before submit() returns. Its
+    // record must still end Expired, never be overwritten by Admitted.
+    // The race is timing-dependent; thousands of rounds expose it.
+    const CompileJob job = smallJob();
+    for (std::size_t round = 0; round < 5000; ++round) {
+        JobService svc(shardOptions(1, 4, 0));
+        JobTicket first =
+            svc.submit(job, /*priority=*/0, /*deadline_ms=*/1e-6);
+        // Coalesces onto the first unless a worker already took it.
+        JobTicket second =
+            svc.submit(job, /*priority=*/0, /*deadline_ms=*/1e-6);
+        for (JobTicket *doomed : {&first, &second}) {
+            EXPECT_THROW(doomed->result.get(), ExpiredError);
+            const auto status = svc.status(doomed->id);
+            ASSERT_TRUE(status.has_value());
+            EXPECT_EQ(status->state, JobState::Expired) << "round=" << round;
+        }
+    }
+}
+
 TEST(JobServiceTest, GenerousDeadlineDoesNotExpire)
 {
     JobService svc(shardOptions(2, 1, 16));
@@ -375,6 +592,145 @@ TEST(JobServiceTest, ResultsMatchEffectiveOptionsReplay)
                   serializeResultWitness(direct.compile(jobs[v].circuit)))
             << "job variant " << (v + 1);
     }
+}
+
+/**
+ * The full 23-entry Table 2 suite compiled through 8 workers (4 shards
+ * x 2) is bit-identical to a serial (1 shard x 1 worker) run.
+ */
+TEST(JobServiceTest, FullSuiteSerialVsEightWorkersBitIdentical)
+{
+    const std::vector<CompileJob> jobs = suiteJobs();
+    ASSERT_EQ(jobs.size(), 23u);
+
+    JobService serial(shardOptions(1, 1, 64));
+    JobService parallel(shardOptions(4, 2, 64));
+    EXPECT_EQ(parallel.stats().num_shards * parallel.stats().workers_per_shard,
+              8u);
+    std::vector<JobTicket> serial_tickets;
+    std::vector<JobTicket> parallel_tickets;
+    for (const CompileJob &job : jobs) {
+        serial_tickets.push_back(serial.submit(job));
+        parallel_tickets.push_back(parallel.submit(job));
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobResult a = serial_tickets[i].result.get();
+        const JobResult b = parallel_tickets[i].result.get();
+        EXPECT_EQ(serializeResultWitness(*a.result),
+                  serializeResultWitness(*b.result))
+            << "suite entry " << i;
+    }
+    EXPECT_EQ(parallel.stats().compiled, 23u);
+}
+
+/**
+ * Profiling is schedule-neutral through the service: the derived seed
+ * comes from the profile-normalized fingerprint, so toggling
+ * profile_passes changes the cache entry (different payload) but never
+ * the emitted schedule.
+ */
+TEST(JobServiceTest, ProfileTogglingNeverChangesTheSchedule)
+{
+    JobService svc(shardOptions(2, 1, 16));
+
+    const CompileJob profiled = smallJob();
+    CompileJob unprofiled = smallJob();
+    unprofiled.options.profile_passes = false;
+
+    const JobResult on = svc.submit(profiled).result.get();
+    const JobResult off = svc.submit(unprofiled).result.get();
+
+    // Distinct cache entries (no conflated payloads)...
+    EXPECT_NE(on.fingerprint, off.fingerprint);
+    EXPECT_FALSE(off.from_cache);
+    EXPECT_FALSE(on.result->pass_profiles.empty());
+    EXPECT_TRUE(off.result->pass_profiles.empty());
+
+    // ...but bit-identical schedules and effective seeds.
+    EXPECT_EQ(scheduleToJson(on.result->schedule),
+              scheduleToJson(off.result->schedule));
+    EXPECT_DOUBLE_EQ(on.result->metrics.fidelity(),
+                     off.result->metrics.fidelity());
+    EXPECT_EQ(effectiveOptions(profiled).seed,
+              effectiveOptions(unprofiled).seed);
+}
+
+/**
+ * Pass totals aggregate over worker-compiled jobs, not cache hits: a
+ * caller folding the pass profiles of Compiled results (as the CLI's
+ * `--stats --profile` does) agrees with the service's pass metrics.
+ */
+TEST(JobServiceTest, PassTotalsAggregateAcrossCompiledJobs)
+{
+    auto bundle = std::make_shared<obs::Observability>(
+        obs::ObservabilityOptions{obs::LogLevel::Off, stderr});
+    JobServiceOptions options = shardOptions(1, 1, 16);
+    options.obs = bundle;
+    JobService svc(options);
+
+    std::vector<PassProfile> totals;
+    const auto submit = [&](const CompileJob &job) {
+        const JobResult out = svc.submit(job).result.get();
+        if (out.source == ResultSource::Compiled)
+            mergePassProfiles(totals, out.result->pass_profiles);
+    };
+    const auto placements = [&] {
+        return bundle->metrics
+            .counter("powermove_pass_invocations_total",
+                     {{"pass", std::string(passName(PassId::Placement))}})
+            .value();
+    };
+
+    submit(smallJob(1));
+    ASSERT_FALSE(totals.empty());
+    EXPECT_EQ(totals.front().pass, PassId::Placement);
+    EXPECT_EQ(totals.front().invocations, 1u);
+    EXPECT_EQ(placements(), 1u);
+
+    submit(smallJob(1)); // cache hit: totals unchanged
+    EXPECT_EQ(totals.front().invocations, 1u);
+    EXPECT_EQ(placements(), 1u);
+
+    submit(smallJob(2)); // fresh compile: placement again
+    EXPECT_EQ(totals.front().invocations, 2u);
+    EXPECT_EQ(placements(), 2u);
+}
+
+/** Stress: the whole suite submitted concurrently from many threads. */
+TEST(JobServiceTest, ConcurrentSuiteStress)
+{
+    const std::vector<CompileJob> jobs = suiteJobs();
+    JobService svc(shardOptions(4, 2, 64));
+    constexpr std::size_t kSubmitters = 4;
+    std::vector<std::vector<JobTicket>> tickets(kSubmitters);
+    {
+        std::vector<std::thread> submitters;
+        for (std::size_t t = 0; t < kSubmitters; ++t) {
+            submitters.emplace_back([&, t] {
+                for (const CompileJob &job : jobs)
+                    tickets[t].push_back(svc.submit(job));
+            });
+        }
+        for (std::thread &submitter : submitters)
+            submitter.join();
+    }
+
+    for (auto &lane : tickets) {
+        for (std::size_t i = 0; i < lane.size(); ++i) {
+            const JobResult out = lane[i].result.get();
+            ASSERT_TRUE(out.result);
+            validateAgainstCircuit(out.result->schedule, jobs[i].circuit);
+        }
+    }
+
+    // Each distinct job compiled exactly once no matter how submissions
+    // interleaved with completions.
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, kSubmitters * jobs.size());
+    EXPECT_EQ(stats.compiled, jobs.size());
+    EXPECT_EQ(stats.coalesced + stats.memory_hits,
+              (kSubmitters - 1) * jobs.size());
+    EXPECT_EQ(stats.failed + stats.rejected + stats.expired, 0u);
 }
 
 TEST(JobServiceTest, FinishedRecordPruningForgetsOldestFirst)

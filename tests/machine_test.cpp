@@ -35,6 +35,11 @@ TEST(MachineConfigTest, ForQubitsMatchesPaperSizingRule)
 TEST(MachineConfigTest, ZeroQubitsRejected)
 {
     EXPECT_THROW(MachineConfig::forQubits(0), ConfigError);
+    // Past the ceiling is just as typed an error, not an allocation.
+    EXPECT_EQ(MachineConfig::forQubits(MachineConfig::kMaxQubits).compute_cols,
+              1024);
+    EXPECT_THROW(MachineConfig::forQubits(MachineConfig::kMaxQubits + 1),
+                 ConfigError);
 }
 
 TEST(MachineTest, SiteCountsByZone)

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "arch/machine.hpp"
 #include "common/error.hpp"
 #include "qasm/converter.hpp"
 
@@ -257,6 +258,15 @@ TEST_F(IncludeResolutionTest, MissingIncludeRejected)
 {
     writeFile("main.qasm", "include \"ghost.inc\";\nqreg q[1];\nh q[0];\n");
     EXPECT_THROW(loadQasmFile(dir_ + "/main.qasm"), ConfigError);
+}
+
+TEST(ConverterTest, RegistersSummingPastTheMachineCeilingAreRejected)
+{
+    // Each register alone fits; together they exceed the ceiling, which
+    // must be caught before the circuit is sized.
+    const std::string half = std::to_string(MachineConfig::kMaxQubits / 2 + 1);
+    EXPECT_THROW(loadQasm("qreg a[" + half + "]; qreg b[" + half + "];"),
+                 ParseError);
 }
 
 } // namespace

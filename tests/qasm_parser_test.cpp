@@ -3,13 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <numbers>
+#include <string>
 
+#include "arch/machine.hpp"
 #include "common/error.hpp"
 #include "qasm/parser.hpp"
 
 namespace powermove::qasm {
 namespace {
+
+/** A checked-in regression input from tests/corpus/. */
+std::string
+readCorpus(const std::string &name)
+{
+    const std::string path =
+        std::string(POWERMOVE_SOURCE_DIR) + "/tests/corpus/" + name;
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** The ParseError @p source raises; fails the test if it parses. */
+ParseError
+parseErrorOf(const std::string &source)
+{
+    try {
+        (void)parseProgram(source);
+    } catch (const ParseError &error) {
+        return error;
+    }
+    ADD_FAILURE() << "expected a ParseError";
+    return ParseError("parsed", 0, 0);
+}
 
 TEST(ParserTest, HeaderAndIncludes)
 {
@@ -171,6 +200,79 @@ TEST(ParserTest, MissingSemicolonRejected)
 {
     EXPECT_THROW(parseProgram("qreg q[2]"), ParseError);
     EXPECT_THROW(parseProgram("qreg q[2]; h q[0]"), ParseError);
+}
+
+TEST(ParserTest, DeepNestingIsAParseErrorNotACrash)
+{
+    // `rz(` + 5,000 nested parentheses on line 4: the recursive descent
+    // used to overflow the stack on this input.
+    const ParseError error = parseErrorOf(readCorpus("deep_parens.qasm"));
+    EXPECT_EQ(error.line(), 4u);
+    EXPECT_NE(std::string(error.what()).find("nested deeper than"),
+              std::string::npos)
+        << error.what();
+
+    // The same bound covers unary-minus and right-associative '^' chains.
+    const std::string minus = "qreg q[1];\nrz(" + std::string(5000, '-') +
+                              "1) q[0];\n";
+    EXPECT_EQ(parseErrorOf(minus).line(), 2u);
+    std::string power = "qreg q[1];\nrz(1";
+    for (int i = 0; i < 5000; ++i)
+        power += "^1";
+    power += ") q[0];\n";
+    EXPECT_EQ(parseErrorOf(power).line(), 2u);
+
+    // Nesting below the bound still parses and evaluates.
+    const std::size_t depth = 200;
+    const std::string nested = "qreg q[1]; rz(" + std::string(depth, '(') +
+                               "-0.5" + std::string(depth, ')') + ") q[0];";
+    const auto program = parseProgram(nested);
+    const auto &call = std::get<GateCall>(program.statements[1]);
+    ASSERT_EQ(call.params.size(), 1u);
+    EXPECT_DOUBLE_EQ(evaluateExpr(call.params[0], {}), -0.5);
+}
+
+TEST(ParserTest, OverlongOperatorChainIsAParseError)
+{
+    // A left-associative chain parses in a loop but nests one tree level
+    // per operator; 300,000 terms used to crash evaluation, and took
+    // quadratic time to parse at 20,000.
+    std::string chain = "qreg q[1];\nrz(1";
+    for (int i = 0; i < 300000; ++i)
+        chain += "+1";
+    chain += ") q[0];\n";
+    const ParseError error = parseErrorOf(chain);
+    EXPECT_EQ(error.line(), 2u);
+    EXPECT_NE(std::string(error.what()).find("longer than"),
+              std::string::npos)
+        << error.what();
+
+    std::string sum = "qreg q[1]; rz(0";
+    for (int i = 0; i < 1000; ++i)
+        sum += "+0.001";
+    sum += ") q[0];";
+    const auto program = parseProgram(sum);
+    const auto &call = std::get<GateCall>(program.statements[1]);
+    EXPECT_NEAR(evaluateExpr(call.params[0], {}), 1.0, 1e-9);
+}
+
+TEST(ParserTest, RegisterBeyondTheMachineCeilingIsRejected)
+{
+    // qreg q[2000000000] on line 3 used to reach the allocator.
+    const ParseError error = parseErrorOf(readCorpus("huge_qreg.qasm"));
+    EXPECT_EQ(error.line(), 3u);
+    EXPECT_NE(std::string(error.what()).find("machine ceiling"),
+              std::string::npos)
+        << error.what();
+
+    const std::string at_ceiling =
+        "qreg q[" + std::to_string(MachineConfig::kMaxQubits) + "];";
+    EXPECT_NO_THROW(parseProgram(at_ceiling));
+    const std::string past_ceiling =
+        "qreg q[" + std::to_string(MachineConfig::kMaxQubits + 1) + "];";
+    EXPECT_THROW(parseProgram(past_ceiling), ParseError);
+    EXPECT_THROW(parseProgram("qreg q[99999999999999999999999];"),
+                 ParseError);
 }
 
 } // namespace
