@@ -18,20 +18,34 @@ fail(const std::string &message)
     throw ValidationError("schedule validation failed: " + message);
 }
 
-/** Occupancy census of a position assignment. */
-class Census
+/** Steady-state capacity of @p site: compute 2, storage 1. */
+std::size_t
+capacityOf(const Machine &machine, SiteId site)
+{
+    return machine.zoneOf(site) == ZoneKind::Compute ? 2 : 1;
+}
+
+/**
+ * Site occupancy of a schedule being replayed.
+ *
+ * Every count change keeps two tallies current: the number of sites
+ * over capacity and the number of compute sites holding exactly two
+ * atoms. A pulse then checks capacity in O(1) and blockade in
+ * O(gates). The O(sites) scans run only when a tally shows a violation,
+ * and they report the lowest offending site, as a full census would.
+ */
+class Replay
 {
   public:
-    Census(const Machine &machine, const std::vector<SiteId> &positions)
-        : machine_(machine), count_(machine.numSites(), 0),
-          occupants_(machine.numSites())
+    Replay(const Machine &machine, std::vector<SiteId> positions)
+        : machine_(machine), positions_(std::move(positions)),
+          count_(machine.numSites(), 0), mark_(positions_.size(), 0)
     {
-        for (QubitId q = 0; q < positions.size(); ++q) {
-            const SiteId site = positions[q];
+        for (QubitId q = 0; q < positions_.size(); ++q) {
+            const SiteId site = positions_[q];
             if (site >= machine.numSites())
                 fail("qubit " + std::to_string(q) + " is off the lattice");
-            ++count_[site];
-            occupants_[site].push_back(q);
+            enter(site);
         }
     }
 
@@ -39,9 +53,10 @@ class Census
     void
     checkCapacity() const
     {
+        if (over_capacity_ == 0)
+            return;
         for (SiteId site = 0; site < count_.size(); ++site) {
-            const std::size_t cap =
-                machine_.zoneOf(site) == ZoneKind::Compute ? 2 : 1;
+            const std::size_t cap = capacityOf(machine_, site);
             if (count_[site] > cap) {
                 std::ostringstream os;
                 os << "site " << machine_.coordOf(site) << " holds "
@@ -51,130 +66,188 @@ class Census
         }
     }
 
-    const std::vector<QubitId> &occupantsOf(SiteId site) const
+    void
+    checkPulse(const RydbergOp &pulse)
     {
-        return occupants_[site];
-    }
-
-    std::size_t occupancy(SiteId site) const { return count_[site]; }
-
-  private:
-    const Machine &machine_;
-    std::vector<std::size_t> count_;
-    std::vector<std::vector<QubitId>> occupants_;
-};
-
-void
-checkPulse(const Machine &machine, const std::vector<SiteId> &positions,
-           const RydbergOp &pulse)
-{
-    if (pulse.gates.empty())
-        fail("empty Rydberg pulse");
-
-    const Census census(machine, positions);
-    census.checkCapacity();
-
-    // Gates act on pairwise disjoint qubits.
-    std::vector<QubitId> touched;
-    for (const auto &gate : pulse.gates) {
-        touched.push_back(gate.a);
-        touched.push_back(gate.b);
-    }
-    std::sort(touched.begin(), touched.end());
-    if (std::adjacent_find(touched.begin(), touched.end()) != touched.end())
-        fail("a Rydberg pulse touches a qubit twice");
-
-    // Every gate pair is co-located at a compute site.
-    for (const auto &gate : pulse.gates) {
-        const SiteId sa = positions[gate.a];
-        const SiteId sb = positions[gate.b];
-        if (sa != sb) {
-            std::ostringstream os;
-            os << "gate (" << gate.a << "," << gate.b
-               << ") pair is not co-located at pulse time";
-            fail(os.str());
-        }
-        if (machine.zoneOf(sa) != ZoneKind::Compute)
-            fail("gate pair parked outside the compute zone at pulse time");
-    }
-
-    // Every co-located compute pair must be one of this pulse's gates;
-    // anything else is an unwanted blockade interaction.
-    std::vector<CzGate> sorted_gates;
-    sorted_gates.reserve(pulse.gates.size());
-    for (const auto &gate : pulse.gates)
-        sorted_gates.push_back(gate.canonical());
-    std::sort(sorted_gates.begin(), sorted_gates.end());
-    for (SiteId site = 0; site < machine.numComputeSites(); ++site) {
-        if (census.occupancy(site) != 2)
-            continue;
-        const auto &pair = census.occupantsOf(site);
-        const CzGate found = CzGate{pair[0], pair[1]}.canonical();
-        if (!std::binary_search(sorted_gates.begin(), sorted_gates.end(),
-                                found)) {
-            std::ostringstream os;
-            os << "qubits " << found.a << " and " << found.b
-               << " are co-located during a pulse without a scheduled gate";
-            fail(os.str());
-        }
-    }
-}
-
-void
-applyMoveBatch(const Machine &machine, std::vector<SiteId> &positions,
-               const MoveBatchOp &op)
-{
-    std::vector<bool> moved(positions.size(), false);
-    for (const auto &group : op.batch.groups) {
-        if (group.moves.empty())
-            fail("empty Coll-Move inside a batch");
-        if (!isValidCollMove(machine, group))
-            fail("Coll-Move violates AOD row/column order constraints");
-        for (const auto &move : group.moves) {
-            if (move.qubit >= positions.size())
-                fail("move addresses an unknown qubit");
-            if (moved[move.qubit])
-                fail("qubit moved twice within one parallel batch");
-            moved[move.qubit] = true;
-            if (positions[move.qubit] != move.from) {
+        if (pulse.gates.empty())
+            fail("empty Rydberg pulse");
+        for (const auto &gate : pulse.gates) {
+            if (gate.a >= positions_.size() || gate.b >= positions_.size()) {
                 std::ostringstream os;
-                os << "move of qubit " << move.qubit << " departs from "
-                   << machine.coordOf(move.from) << " but the qubit is at "
-                   << machine.coordOf(positions[move.qubit]);
+                os << "gate (" << gate.a << "," << gate.b
+                   << ") addresses an unknown qubit";
                 fail(os.str());
             }
-            if (move.to >= machine.numSites())
-                fail("move targets a non-existent site");
+        }
+
+        checkCapacity();
+
+        // Gates act on pairwise disjoint qubits.
+        ++epoch_;
+        for (const auto &gate : pulse.gates) {
+            for (const QubitId q : {gate.a, gate.b}) {
+                if (mark_[q] == epoch_)
+                    fail("a Rydberg pulse touches a qubit twice");
+                mark_[q] = epoch_;
+            }
+        }
+
+        // Every gate pair is co-located at a compute site.
+        for (const auto &gate : pulse.gates) {
+            const SiteId sa = positions_[gate.a];
+            const SiteId sb = positions_[gate.b];
+            if (sa != sb) {
+                std::ostringstream os;
+                os << "gate (" << gate.a << "," << gate.b
+                   << ") pair is not co-located at pulse time";
+                fail(os.str());
+            }
+            if (machine_.zoneOf(sa) != ZoneKind::Compute)
+                fail("gate pair parked outside the compute zone at pulse "
+                     "time");
+        }
+
+        // The gates sit on distinct compute sites holding exactly two
+        // atoms (disjoint qubits, capacity two), so every co-located
+        // compute pair is a gate iff the pair count equals the gate
+        // count; any other pair is an unwanted blockade interaction.
+        if (pairs_ != pulse.gates.size())
+            reportUnwantedPair(pulse);
+    }
+
+    void
+    applyMoveBatch(const MoveBatchOp &op)
+    {
+        ++epoch_;
+        for (const auto &group : op.batch.groups) {
+            if (group.moves.empty())
+                fail("empty Coll-Move inside a batch");
+            for (const auto &move : group.moves) {
+                if (move.qubit >= positions_.size())
+                    fail("move addresses an unknown qubit");
+                if (move.from >= machine_.numSites())
+                    fail("move departs from a non-existent site");
+                if (move.to >= machine_.numSites())
+                    fail("move targets a non-existent site");
+            }
+            if (!isValidCollMove(machine_, group))
+                fail("Coll-Move violates AOD row/column order constraints");
+            for (const auto &move : group.moves) {
+                if (mark_[move.qubit] == epoch_)
+                    fail("qubit moved twice within one parallel batch");
+                mark_[move.qubit] = epoch_;
+                if (positions_[move.qubit] != move.from) {
+                    std::ostringstream os;
+                    os << "move of qubit " << move.qubit << " departs from "
+                       << machine_.coordOf(move.from)
+                       << " but the qubit is at "
+                       << machine_.coordOf(positions_[move.qubit]);
+                    fail(os.str());
+                }
+            }
+        }
+        for (const auto &group : op.batch.groups) {
+            for (const auto &move : group.moves) {
+                leave(move.from);
+                enter(move.to);
+                positions_[move.qubit] = move.to;
+            }
         }
     }
-    for (const auto &group : op.batch.groups) {
-        for (const auto &move : group.moves)
-            positions[move.qubit] = move.to;
+
+  private:
+    void
+    enter(SiteId site)
+    {
+        const std::size_t now = ++count_[site];
+        if (now == capacityOf(machine_, site) + 1)
+            ++over_capacity_;
+        if (machine_.zoneOf(site) == ZoneKind::Compute) {
+            if (now == 2)
+                ++pairs_;
+            else if (now == 3)
+                --pairs_;
+        }
     }
-}
+
+    void
+    leave(SiteId site)
+    {
+        const std::size_t was = count_[site]--;
+        if (was == capacityOf(machine_, site) + 1)
+            --over_capacity_;
+        if (machine_.zoneOf(site) == ZoneKind::Compute) {
+            if (was == 2)
+                --pairs_;
+            else if (was == 3)
+                ++pairs_;
+        }
+    }
+
+    /** Failure path: names the lowest compute pair that is not a gate. */
+    [[noreturn]] void
+    reportUnwantedPair(const RydbergOp &pulse) const
+    {
+        std::vector<std::vector<QubitId>> occupants(
+            machine_.numComputeSites());
+        for (QubitId q = 0; q < positions_.size(); ++q) {
+            if (positions_[q] < occupants.size())
+                occupants[positions_[q]].push_back(q);
+        }
+        std::vector<CzGate> sorted_gates;
+        sorted_gates.reserve(pulse.gates.size());
+        for (const auto &gate : pulse.gates)
+            sorted_gates.push_back(gate.canonical());
+        std::sort(sorted_gates.begin(), sorted_gates.end());
+        for (const auto &pair : occupants) {
+            if (pair.size() != 2)
+                continue;
+            const CzGate found = CzGate{pair[0], pair[1]}.canonical();
+            if (!std::binary_search(sorted_gates.begin(), sorted_gates.end(),
+                                    found)) {
+                std::ostringstream os;
+                os << "qubits " << found.a << " and " << found.b
+                   << " are co-located during a pulse without a scheduled "
+                      "gate";
+                fail(os.str());
+            }
+        }
+        panic("pair tally disagrees with the occupancy census");
+    }
+
+    const Machine &machine_;
+    std::vector<SiteId> positions_;
+    std::vector<std::size_t> count_;
+    /** Sites holding more atoms than their capacity. */
+    std::size_t over_capacity_ = 0;
+    /** Compute sites holding exactly two atoms. */
+    std::size_t pairs_ = 0;
+    /** Per-qubit stamp: equals epoch_ once seen in the current check. */
+    std::vector<std::size_t> mark_;
+    std::size_t epoch_ = 0;
+};
 
 } // namespace
 
 void
 validateSchedule(const MachineSchedule &schedule)
 {
-    const Machine &machine = schedule.machine();
-    std::vector<SiteId> positions = schedule.initialSites();
-    if (positions.empty())
+    if (schedule.initialSites().empty())
         fail("schedule has no qubits");
 
-    Census(machine, positions).checkCapacity();
+    Replay replay(schedule.machine(), schedule.initialSites());
+    replay.checkCapacity();
 
     for (const auto &instruction : schedule.instructions()) {
         if (const auto *pulse = std::get_if<RydbergOp>(&instruction)) {
-            checkPulse(machine, positions, *pulse);
+            replay.checkPulse(*pulse);
         } else if (const auto *batch = std::get_if<MoveBatchOp>(&instruction)) {
-            applyMoveBatch(machine, positions, *batch);
+            replay.applyMoveBatch(*batch);
         }
         // 1Q layers have no placement effect.
     }
 
-    Census(machine, positions).checkCapacity();
+    replay.checkCapacity();
 }
 
 void

@@ -16,6 +16,16 @@
  * Site capacity is enforced at pulse boundaries and at program end;
  * transient co-residence while atoms ride an AOD mid-transition is
  * allowed (atoms in mobile traps hover independently of SLM occupancy).
+ * Every gate qubit and every move's qubit and sites are range-checked
+ * before use, so a corrupt schedule fails with ValidationError.
+ *
+ * Cost: the replay takes one O(sites) census at program start, then
+ * O(moves + gates) per instruction. Occupancy counts keep tallies of
+ * over-capacity sites and of two-atom compute sites current, and since
+ * a pulse's gates sit on distinct two-atom compute sites, there is no
+ * unwanted blockade exactly when the pair tally equals the gate count.
+ * An O(sites) scan runs only on a failure path, to report the lowest
+ * offending site, so the first error and its text match a full census.
  *
  * validateAgainstCircuit() additionally proves completeness: the pulses
  * execute exactly the source circuit's CZ gates, block by block and in

@@ -1,5 +1,6 @@
 #include "workloads/qft.hpp"
 
+#include <cmath>
 #include <numbers>
 
 namespace powermove {
@@ -16,10 +17,11 @@ makeQft(std::size_t num_qubits)
         // one CZ block sharing qubit k (hence one gate per stage).
         for (QubitId j = k + 1; j < n; ++j)
             circuit.append(CzGate{j, k});
-        // Deferred Rz corrections of the CP decompositions.
+        // Deferred Rz corrections of the CP decompositions: pi / 2^(j-k+1),
+        // scaled by exponent so distances past 63 stay defined.
         for (QubitId j = k + 1; j < n; ++j) {
-            const double angle =
-                std::numbers::pi / static_cast<double>(1ULL << (j - k + 1));
+            const double angle = std::ldexp(std::numbers::pi,
+                                            -static_cast<int>(j - k + 1));
             circuit.append(OneQGate{OneQKind::Rz, j, angle});
             circuit.append(OneQGate{OneQKind::Rz, k, angle});
         }

@@ -22,6 +22,18 @@ class IsaTest : public ::testing::Test
         return batch;
     }
 
+    /** The ValidationError text @p schedule is rejected with, or "". */
+    static std::string
+    rejectionOf(const MachineSchedule &schedule)
+    {
+        try {
+            validateSchedule(schedule);
+        } catch (const ValidationError &e) {
+            return e.what();
+        }
+        return "";
+    }
+
     Machine machine_;
 };
 
@@ -84,6 +96,20 @@ TEST_F(IsaTest, DetectsDoubleMoveInOneBatch)
     batch.groups.push_back(CollMove{{{1, 2, 3}}});
     schedule.addMoveBatch(batch);
     EXPECT_THROW(validateSchedule(schedule), ValidationError);
+}
+
+TEST_F(IsaTest, DoubleMoveRejectedEvenFromTheRightSite)
+{
+    // Both moves depart from qubit 1's actual site, so only the
+    // once-per-batch rule can reject the second.
+    MachineSchedule schedule(machine_, {0, 1});
+    AodBatch batch;
+    batch.groups.push_back(CollMove{{{1, 1, 2}}});
+    batch.groups.push_back(CollMove{{{1, 1, 4}}});
+    schedule.addMoveBatch(batch);
+    EXPECT_EQ(rejectionOf(schedule),
+              "schedule validation failed: qubit moved twice within one "
+              "parallel batch");
 }
 
 TEST_F(IsaTest, DetectsAodConflictInsideGroup)
@@ -160,6 +186,76 @@ TEST_F(IsaTest, StorageCapacityOneEnforced)
     second.groups.push_back(CollMove{{{1, 1, storage[0]}}});
     schedule.addMoveBatch(second);
     EXPECT_THROW(validateSchedule(schedule), ValidationError);
+}
+
+TEST_F(IsaTest, OutOfRangeGateQubitRejected)
+{
+    MachineSchedule schedule(machine_, {0, 0});
+    schedule.addRydberg({CzGate{0, 7}}, 0); // only qubits 0 and 1 exist
+    EXPECT_EQ(rejectionOf(schedule),
+              "schedule validation failed: gate (0,7) addresses an "
+              "unknown qubit");
+}
+
+TEST_F(IsaTest, OutOfRangeMoveOperandsRejected)
+{
+    // Each corrupt move shares its group with a valid one, so the AOD
+    // order check would compare it against a neighbour.
+    const SiteId nowhere = static_cast<SiteId>(machine_.numSites());
+    const std::vector<std::pair<QubitMove, std::string>> cases{
+        {{5, 1, 4}, "move addresses an unknown qubit"},
+        {{1, nowhere, 4}, "move departs from a non-existent site"},
+        {{1, 1, nowhere}, "move targets a non-existent site"},
+    };
+    for (const auto &[corrupt, message] : cases) {
+        MachineSchedule schedule(machine_, {0, 1});
+        schedule.addMoveBatch(batchOf({{0, 0, 3}, corrupt}));
+        EXPECT_EQ(rejectionOf(schedule),
+                  "schedule validation failed: " + message);
+    }
+}
+
+TEST_F(IsaTest, TransientOverflowBetweenPulsesAllowed)
+{
+    // Site 0 holds three atoms between two batches; the third leaves
+    // before the pulse.
+    MachineSchedule schedule(machine_, {0, 1, 2});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addMoveBatch(batchOf({{2, 2, 0}}));
+    schedule.addMoveBatch(batchOf({{2, 0, 2}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    EXPECT_NO_THROW(validateSchedule(schedule));
+}
+
+TEST_F(IsaTest, OverflowSurvivingToNextPulseRejectedThere)
+{
+    // The overflow appears after the first pulse and is gone by program
+    // end, so only the second pulse can catch it.
+    MachineSchedule schedule(machine_, {0, 1, 2});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    schedule.addMoveBatch(batchOf({{2, 2, 0}}));
+    schedule.addRydberg({CzGate{0, 1}}, 1);
+    schedule.addMoveBatch(batchOf({{2, 0, 2}}));
+    const std::string message = rejectionOf(schedule);
+    EXPECT_NE(message.find("holds 3 qubits (capacity 2)"), std::string::npos)
+        << message;
+}
+
+TEST_F(IsaTest, RepartneredComputeSiteRejected)
+{
+    // Site 0 goes pair (0,1) -> single (0) -> pair (0,2); the second
+    // pulse only schedules (1,3), elsewhere.
+    MachineSchedule schedule(machine_, {0, 1, 2, 3});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    schedule.addMoveBatch(batchOf({{1, 0, 1}}));
+    schedule.addMoveBatch(batchOf({{2, 2, 0}}));
+    schedule.addMoveBatch(batchOf({{3, 3, 1}}));
+    schedule.addRydberg({CzGate{1, 3}}, 1);
+    EXPECT_EQ(rejectionOf(schedule),
+              "schedule validation failed: qubits 0 and 2 are co-located "
+              "during a pulse without a scheduled gate");
 }
 
 TEST_F(IsaTest, ValidateAgainstCircuitAcceptsFaithfulSchedule)
