@@ -1,7 +1,7 @@
 /**
  * @file
- * Routing-strategy comparison, fast-path differential, and the
- * fast-path speedup gate.
+ * Routing-strategy comparison, production-vs-reference differential,
+ * and the incremental router's speedup gate.
  *
  * For every Table 2 benchmark, all CZ gates are merged into one
  * commutable block, replicated at depth multipliers {1, 4, 16}, and
@@ -9,23 +9,25 @@
  * the routing pass. The harness times the routing pass — router
  * construction plus every stage transition — under three strategies:
  *
- *   continuous   the reference ContinuousRouter (paper Sec. 5)
- *   fast         FastContinuousRouter, the incremental fast path
+ *   reference    reference::ContinuousRouter, the per-transition
+ *                rebuild of paper Sec. 5 (test oracle, tests/)
+ *   continuous   ContinuousRouter, the incremental production router
  *   windowed     WindowedRouter at the default window of 8
  *
- * The fast path's win is eliminating the reference's per-transition
+ * The production router's win is eliminating the reference's per-transition
  * O(qubits + sites) scratch rebuild, so its speedup depends on the
  * stage-width : machine-size ratio. Table 2's entries (n <= 36) are
  * mover-dominated and show 1.3-2x; the asymptotic case is a narrow
  * stage on a big machine, where the rebuild is nearly all of the
  * reference's work. Dedicated scale rows (BV and VQE family instances
  * at 256-1024 qubits, depth 16) pin that regime, and the regression
- * gate — median fast-path speedup across the scale rows >= 5x — runs
- * on them in CI so the fast path can never silently decay into a
- * second copy of the reference.
+ * gate — median production-over-reference speedup across the scale
+ * rows >= 5x — runs on them in CI so the production router can never
+ * silently decay into a second copy of the reference.
  *
- * The harness also runs an untimed differential — continuous vs fast
- * over every stage sequence of every row, in both zone configurations,
+ * The harness also runs an untimed differential — reference vs
+ * production over every stage sequence of every row, in both zone
+ * configurations,
  * comparing plans move-for-move and final layouts — and reports the
  * movement-quality delta the windowed search buys on the Table 2 rows
  * (total move distance and move count vs the reference).
@@ -51,7 +53,7 @@
 
 #include "harness.hpp"
 #include "report/table.hpp"
-#include "route/fast_router.hpp"
+#include "reference_router.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage_order.hpp"
@@ -200,33 +202,34 @@ routeMicros(const Machine &machine, std::size_t num_qubits,
 }
 
 /**
- * Untimed differential: continuous vs fast over @p stages, plan by
- * plan, in one zone configuration. Returns false on any divergence.
+ * Untimed differential: reference vs production over @p stages, plan
+ * by plan, in one zone configuration. Returns false on any divergence.
  */
 bool
 differentialHolds(const Machine &machine, const std::vector<Stage> &stages,
                   std::size_t num_qubits, bool use_storage, const char *key)
 {
     const RouterOptions options{use_storage, kSeed};
-    ContinuousRouter reference(machine, options);
-    FastContinuousRouter fast(machine, options);
+    reference::ContinuousRouter reference(machine, options);
+    ContinuousRouter production(machine, options);
     Layout ref_layout(machine, num_qubits);
-    Layout fast_layout(machine, num_qubits);
+    Layout prod_layout(machine, num_qubits);
     placeRowMajor(ref_layout,
                   use_storage ? ZoneKind::Storage : ZoneKind::Compute);
-    fast_layout.assignFrom(ref_layout);
+    prod_layout.assignFrom(ref_layout);
 
     for (std::size_t s = 0; s < stages.size(); ++s) {
         const auto ref_plan =
             reference.planStageTransition(ref_layout, stages[s]);
-        const auto fast_plan =
-            fast.planStageTransition(fast_layout, stages[s]);
-        if (ref_plan.moves != fast_plan.moves ||
-            ref_plan.labels != fast_plan.labels ||
-            ref_plan.num_parked != fast_plan.num_parked ||
-            ref_plan.num_evicted != fast_plan.num_evicted) {
+        const auto prod_plan =
+            production.planStageTransition(prod_layout, stages[s]);
+        if (ref_plan.moves != prod_plan.moves ||
+            ref_plan.labels != prod_plan.labels ||
+            ref_plan.num_parked != prod_plan.num_parked ||
+            ref_plan.num_evicted != prod_plan.num_evicted) {
             std::fprintf(stderr,
-                         "%s (%s storage): fast DIVERGED from continuous at "
+                         "%s (%s storage): continuous DIVERGED from the "
+                         "reference at "
                          "stage %zu/%zu\n",
                          key, use_storage ? "with" : "without", s,
                          stages.size());
@@ -234,7 +237,7 @@ differentialHolds(const Machine &machine, const std::vector<Stage> &stages,
         }
     }
     for (QubitId q = 0; q < num_qubits; ++q) {
-        if (ref_layout.siteOf(q) != fast_layout.siteOf(q)) {
+        if (ref_layout.siteOf(q) != prod_layout.siteOf(q)) {
             std::fprintf(stderr,
                          "%s (%s storage): final layouts differ at qubit %u\n",
                          key, use_storage ? "with" : "without",
@@ -284,7 +287,7 @@ main(int argc, char **argv)
     std::size_t differential_failures = 0;
     std::vector<double> gate_speedups;
 
-    TextTable table({"Benchmark", "depth", "stages", "cont(us)", "fast(us)",
+    TextTable table({"Benchmark", "depth", "stages", "ref(us)", "cont(us)",
                      "speedup", "win8(us)", "dist save", "moves save"});
     const std::vector<Entry> entries = makeEntries(smoke);
     for (const Entry &entry : entries) {
@@ -305,37 +308,38 @@ main(int argc, char **argv)
                     ++differential_failures;
             }
 
+            const auto make_reference = [&] {
+                return std::make_unique<reference::ContinuousRouter>(
+                    machine, RouterOptions{true, kSeed});
+            };
             const auto make_continuous = [&] {
                 return std::make_unique<ContinuousRouter>(
                     machine, RouterOptions{true, kSeed});
             };
-            const auto make_fast = [&] {
-                return std::make_unique<FastContinuousRouter>(
-                    machine, RouterOptions{true, kSeed});
-            };
 
+            const double reference_us = routeMicros(
+                machine, entry.num_qubits, stages, make_reference);
             const double continuous_us = routeMicros(
                 machine, entry.num_qubits, stages, make_continuous);
-            const double fast_us =
-                routeMicros(machine, entry.num_qubits, stages, make_fast);
+            const RouteOutcome reference_out = routeOutcome(
+                machine, entry.num_qubits, stages, make_reference);
             const RouteOutcome continuous_out = routeOutcome(
                 machine, entry.num_qubits, stages, make_continuous);
-            const RouteOutcome fast_out =
-                routeOutcome(machine, entry.num_qubits, stages, make_fast);
 
             const double speedup =
-                fast_us > 0.0 ? continuous_us / fast_us : 0.0;
+                continuous_us > 0.0 ? reference_us / continuous_us : 0.0;
             if (entry.scale_row)
                 gate_speedups.push_back(speedup);
 
+            records.push_back({key_base + "|reference", stages.size(),
+                               reference_us, reference_out.moves,
+                               reference_out.distance_um});
             records.push_back({key_base + "|continuous", stages.size(),
                                continuous_us, continuous_out.moves,
                                continuous_out.distance_um});
-            records.push_back({key_base + "|fast", stages.size(), fast_us,
-                               fast_out.moves, fast_out.distance_um});
 
             // Movement quality: how much travel the windowed search
-            // saves over the reference. Quality is the windowed path's
+            // saves over the continuous router. Quality is the windowed path's
             // story on realistic Table 2 sizes; scale rows skip it
             // (window x thousands of stages adds minutes for a column
             // the gate never reads).
@@ -387,7 +391,8 @@ main(int argc, char **argv)
 
             table.addRow({entry.name, "x" + std::to_string(depth),
                           std::to_string(stages.size()),
-                          fmt(continuous_us, "%.1f"), fmt(fast_us, "%.1f"),
+                          fmt(reference_us, "%.1f"),
+                          fmt(continuous_us, "%.1f"),
                           fmt(speedup, "%.1fx"), win_cell, dist_cell,
                           moves_cell});
         }
@@ -402,7 +407,7 @@ main(int argc, char **argv)
                               : gate_speedups[gate_speedups.size() / 2];
     const double max_speedup =
         gate_speedups.empty() ? 0.0 : gate_speedups.back();
-    std::printf("fast vs continuous on the scale rows: min %.1fx, median "
+    std::printf("continuous vs reference on the scale rows: min %.1fx, median "
                 "%.1fx, max %.1fx (floor: median >= %.1fx)\n",
                 min_speedup, median_speedup, max_speedup, kMinMedianSpeedup);
 
@@ -439,7 +444,7 @@ main(int argc, char **argv)
     }
     if (median_speedup < kMinMedianSpeedup) {
         std::fprintf(stderr,
-                     "fast-path regression: median scale-row speedup %.2fx "
+                     "router regression: median scale-row speedup %.2fx "
                      "is below the %.1fx floor\n",
                      median_speedup, kMinMedianSpeedup);
         return 1;

@@ -287,12 +287,6 @@ RoutingPass::RoutingPass(PipelineContext &ctx)
                                ctx.options.seed, ctx.options.residency},
             ctx.rng);
     }
-    if (ctx.options.routing == RoutingStrategy::Fast) {
-        fast_router_ = std::make_unique<FastContinuousRouter>(
-            ctx.machine,
-            RouterOptions{ctx.options.use_storage, ctx.options.seed},
-            ctx.rng);
-    }
     if (ctx.options.routing == RoutingStrategy::Windowed) {
         if (ctx.options.routing_window == 0)
             fatal("windowed routing requires a window >= 1 ordering");
@@ -324,8 +318,6 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
     TransitionPlan plan =
         reuse_router_ != nullptr
             ? reuse_router_->planStageTransition(ctx.layout, stage)
-        : fast_router_ != nullptr
-            ? fast_router_->planStageTransition(ctx.layout, stage)
         : windowed_router_ != nullptr
             ? windowed_router_->planStageTransition(ctx.layout, stage)
             : router_.planStageTransition(ctx.layout, stage);

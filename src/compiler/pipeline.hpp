@@ -10,8 +10,8 @@
  *   StagePartitionPass stage partition (Sec. 4.1 coloring, the   [per block]
  *                      bit-identical linear scan, or balanced)
  *   StageOrderPass     zone-aware stage ordering (Sec. 4.2)      [per block]
- *   RoutingPass        layout transitions: continuous (Sec. 5)   [per stage]
- *                      or reuse-aware (src/reuse/)
+ *   RoutingPass        layout transitions: continuous (Sec. 5),  [per stage]
+ *                      reuse-aware (src/reuse/) or windowed
  *   CollMoveOrderPass  grouping + storage-dwell order (5.3/6.1)  [per stage]
  *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2)    [per stage]
  *
@@ -45,7 +45,6 @@
 #include "compiler/result.hpp"
 #include "isa/machine_schedule.hpp"
 #include "reuse/router.hpp"
-#include "route/fast_router.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage.hpp"
@@ -186,8 +185,7 @@ class StageOrderPass
 /**
  * Plans and applies one layout transition per stage through the
  * strategy selected by CompilerOptions::routing: the paper's continuous
- * router (route/), its bit-identical incremental fast path
- * (route/fast_router.hpp), the reuse-aware router (reuse/), or the
+ * router (route/router.hpp), the reuse-aware router (reuse/), or the
  * windowed best-of-orderings search (route/windowed_router.hpp). Owns
  * the routers (and through them the scratch buffers); randomized
  * decisions draw from ctx.rng. The reuse strategy requires the storage
@@ -218,9 +216,8 @@ class RoutingPass
 
   private:
     ContinuousRouter router_;
-    std::unique_ptr<ReuseAwareRouter> reuse_router_;     // engaged iff Reuse
-    std::unique_ptr<FastContinuousRouter> fast_router_;  // engaged iff Fast
-    std::unique_ptr<WindowedRouter> windowed_router_;    // engaged iff Windowed
+    std::unique_ptr<ReuseAwareRouter> reuse_router_;   // engaged iff Reuse
+    std::unique_ptr<WindowedRouter> windowed_router_;  // engaged iff Windowed
 };
 
 /** Groups a transition's moves into Coll-Moves and orders them. */

@@ -144,8 +144,6 @@ routingStrategyName(RoutingStrategy strategy)
         return "continuous";
     case RoutingStrategy::Reuse:
         return "reuse";
-    case RoutingStrategy::Fast:
-        return "fast";
     case RoutingStrategy::Windowed:
         return "windowed";
     }
@@ -157,7 +155,7 @@ parseRoutingStrategy(std::string_view text, RoutingStrategy &out)
 {
     for (const auto strategy :
          {RoutingStrategy::Continuous, RoutingStrategy::Reuse,
-          RoutingStrategy::Fast, RoutingStrategy::Windowed}) {
+          RoutingStrategy::Windowed}) {
         if (text == routingStrategyName(strategy)) {
             out = strategy;
             return true;
@@ -213,7 +211,6 @@ strategyCatalog()
          "--routing",
          {routingStrategyName(RoutingStrategy::Continuous),
           routingStrategyName(RoutingStrategy::Reuse),
-          routingStrategyName(RoutingStrategy::Fast),
           routingStrategyName(RoutingStrategy::Windowed)}},
         {"residency",
          "--residency",

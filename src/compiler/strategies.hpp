@@ -113,26 +113,19 @@ enum class RoutingStrategy : std::uint8_t
      */
     Reuse,
     /**
-     * The continuous router's incremental fast path (src/route/
-     * fast_router.*): bit-identical plans — same moves, labels, and
-     * RNG stream — computed from persistent conflict state (planned
-     * occupancy, free-site bitmasks, compute-zone resident list)
-     * instead of per-transition rebuilds. Differential tests lock the
-     * identity; selecting it changes only compile time (and, because
-     * every strategy participates in the job fingerprint, the cache
-     * key).
-     */
-    Fast,
-    /**
      * Opt-in high-quality mode in the spirit of Stade et al. (PAPERS
      * "Search Smarter, Not Harder"): each stage transition evaluates
      * CompilerOptions::routing_window candidate gate orderings through
-     * the continuous router on a scratch layout and commits the plan
-     * with the smallest total move distance (ties: fewer moves, then
-     * the earliest candidate). Trades compile time for planned-move
-     * quality.
+     * the continuous router (planning and reverting each on the live
+     * layout) and commits the plan with the smallest total move
+     * distance (ties: fewer moves, then the earliest candidate). Trades
+     * compile time for planned-move quality.
+     *
+     * The value 2 belonged to the retired `fast` strategy (now the only
+     * continuous router); Windowed keeps 3 because the job fingerprint
+     * hashes the enum value.
      */
-    Windowed,
+    Windowed = 3,
 };
 
 /**

@@ -1,6 +1,8 @@
 /**
  * @file
- * Free-site searches shared by the routing strategies.
+ * Free-site searches of the reuse-aware router (reuse/router.hpp). The
+ * continuous router keeps bitmask versions of both that return the
+ * same sites (route/router.hpp).
  *
  * Every router repeatedly asks "which planned-free site is closest?"
  * against a planned-occupancy array that settles once per stage

@@ -18,9 +18,6 @@ WindowedRouter::WindowedRouter(const Machine &machine, RouterOptions options,
 TransitionPlan
 WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
 {
-    if (!scratch_ || scratch_->numQubits() != layout.numQubits())
-        scratch_.emplace(machine_, layout.numQubits());
-
     // One draw from the pipeline stream per transition, independent of
     // the window size: all per-candidate randomness (the shuffles and
     // the inner router's mobile/static coin flips) derives from it, so
@@ -44,10 +41,12 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
             shuffle_rng.shuffle(candidate_stage_.gates);
         }
 
-        scratch_->assignFrom(layout);
+        // Plan on the live layout, then take the plan back: every
+        // candidate starts from the same pre-transition state.
         candidate_rng_ = Rng(route_seed);
         TransitionPlan plan =
-            inner_.planStageTransition(*scratch_, candidate_stage_);
+            inner_.planStageTransition(layout, candidate_stage_);
+        inner_.revert(layout, plan);
 
         double distance = 0.0;
         for (const auto &move : plan.moves)
@@ -66,13 +65,9 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
         }
     }
 
-    // The winner was planned against an exact copy of the live layout,
-    // so replaying its moves transactionally lands in the same state
-    // the inner router validated on the scratch.
-    for (const auto &move : best.moves)
-        layout.unplace(move.qubit);
-    for (const auto &move : best.moves)
-        layout.place(move.qubit, move.to);
+    // The winner was planned from exactly the state every revert
+    // restored, so replaying its moves lands where its planning did.
+    inner_.apply(layout, best);
 
     best.num_candidates = window_;
     best.num_window_wins = window_wins;

@@ -9,21 +9,24 @@
  * how far the remaining movers travel. Instead of committing to the
  * partition's order, the windowed router evaluates a bounded window of
  * candidate gate orderings per stage transition — the original order
- * plus window-1 random shuffles — each routed on a scratch layout, and
- * commits the plan with the smallest total move distance (ties broken
- * toward fewer moves, then the earliest candidate, so the search is
- * deterministic given the pipeline RNG stream).
+ * plus window-1 random shuffles — and commits the plan with the
+ * smallest total move distance (ties broken toward fewer moves, then
+ * the earliest candidate, so the search is deterministic given the
+ * pipeline RNG stream).
  *
- * Compile time scales linearly with the window; planned-move quality is
- * what the extra time buys. The window size lives in
- * CompilerOptions::routing_window and is part of the job fingerprint.
+ * Each candidate is planned by the incremental continuous router on the
+ * live layout, scored, and reverted in O(moves); the winner's stored
+ * moves are then applied. A transition therefore costs window x the
+ * incremental router's transition, with no per-candidate layout copy.
+ * Planned-move quality is what the extra time buys. The window size
+ * lives in CompilerOptions::routing_window and is part of the job
+ * fingerprint.
  */
 
 #ifndef POWERMOVE_ROUTE_WINDOWED_ROUTER_HPP
 #define POWERMOVE_ROUTE_WINDOWED_ROUTER_HPP
 
 #include <cstdint>
-#include <optional>
 
 #include "arch/layout.hpp"
 #include "arch/machine.hpp"
@@ -55,7 +58,8 @@ class WindowedRouter
     /**
      * Plans the best-of-window transition into @p stage and applies it
      * to @p layout. The returned plan carries num_candidates and
-     * num_window_wins accounting.
+     * num_window_wins accounting. Like ContinuousRouter, requires that
+     * the layout is not mutated outside this router between calls.
      */
     TransitionPlan planStageTransition(Layout &layout, const Stage &stage);
 
@@ -73,8 +77,7 @@ class WindowedRouter
     // is routed under an independent, reproducible stream.
     Rng candidate_rng_;
     ContinuousRouter inner_;
-    std::optional<Layout> scratch_; // sized lazily to the circuit width
-    Stage candidate_stage_;         // reused gate-permutation buffer
+    Stage candidate_stage_; // reused gate-permutation buffer
 };
 
 } // namespace powermove

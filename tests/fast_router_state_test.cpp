@@ -1,13 +1,15 @@
-/** @file Property test for the fast router's incremental structures.
+/** @file Property test for the continuous router's incremental structures.
  *
- * The fast router keeps planned occupancy, free-site bitmasks, a
+ * The router keeps planned occupancy, free-site bitmasks, a
  * qubit-to-site mirror, and a compute-resident list alive across
  * transitions instead of rebuilding them. This test churns the router
  * through long random park/retrieve/move sequences and, after every
  * single transition, asks auditAgainstLayout() to rebuild each
  * structure from scratch and compare — so any drift (a stale bit, a
  * missed resident swap, an occupancy leak) is caught at the transition
- * that introduced it, not stages later when it corrupts a plan.
+ * that introduced it, not stages later when it corrupts a plan. The
+ * same audit backs revert() and apply(), the plan/undo pair the
+ * windowed router scores its candidates with.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "route/fast_router.hpp"
+#include "route/router.hpp"
 #include "schedule/stage.hpp"
 
 namespace powermove {
@@ -53,7 +55,7 @@ TEST_P(FastRouterStateTest, IncrementalStateMatchesRebuildAfterEveryChurn)
     const auto [use_storage, seed] = GetParam();
     const std::size_t n = 30;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{use_storage, seed});
+    ContinuousRouter router(machine, RouterOptions{use_storage, seed});
 
     Layout layout(machine, n);
     placeRowMajor(layout,
@@ -79,7 +81,7 @@ TEST(FastRouterStatePressureTest, SmallMachineStaysConsistent)
 {
     const std::size_t n = 8;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{true, 5});
+    ContinuousRouter router(machine, RouterOptions{true, 5});
     Layout layout(machine, n);
     placeRowMajor(layout, ZoneKind::Storage);
 
@@ -102,7 +104,7 @@ TEST(FastRouterStateResetTest, AuditHoldsAfterResetFromExternalChange)
 {
     const std::size_t n = 16;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{true, 9});
+    ContinuousRouter router(machine, RouterOptions{true, 9});
     Layout layout(machine, n);
     placeRowMajor(layout, ZoneKind::Storage);
 
@@ -140,6 +142,119 @@ TEST(FastRouterStateResetTest, AuditHoldsAfterResetFromExternalChange)
         ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
             << "post-reset: " << why;
     }
+}
+
+/** Every qubit's site in @p layout, for before/after comparisons. */
+std::vector<SiteId>
+sitesOf(const Layout &layout)
+{
+    std::vector<SiteId> sites(layout.numQubits());
+    for (QubitId q = 0; q < layout.numQubits(); ++q)
+        sites[q] = layout.siteOf(q);
+    return sites;
+}
+
+/**
+ * Plans a churn stage, reverts it, and checks that both the layout and
+ * every incremental structure are back at the pre-plan state; then
+ * re-applies the plan (alternately: reverted, or kept as planned) and
+ * checks the state again before the next churn stage.
+ */
+void
+churnWithReverts(const Machine &machine, std::size_t n, bool use_storage,
+                 std::uint64_t seed, int steps)
+{
+    ContinuousRouter router(machine, RouterOptions{use_storage, seed});
+    Layout layout(machine, n);
+    placeRowMajor(layout,
+                  use_storage ? ZoneKind::Storage : ZoneKind::Compute);
+
+    Rng stage_rng(seed ^ 0x726576657274ULL); // "revert"
+    std::string why;
+    for (int step = 0; step < steps; ++step) {
+        const Stage stage = churnStage(stage_rng, n);
+        const std::vector<SiteId> before = sitesOf(layout);
+        const TransitionPlan plan = router.planStageTransition(layout, stage);
+        const std::vector<SiteId> planned = sitesOf(layout);
+
+        router.revert(layout, plan);
+        ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
+            << "after revert, step " << step << ": " << why;
+        ASSERT_EQ(sitesOf(layout), before)
+            << "revert left the layout changed at step " << step;
+
+        // Continue from the reverted plan re-applied (the windowed
+        // router's commit path) or from a fresh plan of the next stage
+        // straight off the reverted state.
+        if (step % 2 == 0) {
+            router.apply(layout, plan);
+            ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
+                << "after apply, step " << step << ": " << why;
+            ASSERT_EQ(sitesOf(layout), planned)
+                << "apply diverged from the planned layout at step "
+                << step;
+        }
+    }
+}
+
+class RouterRevertTest
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
+{};
+
+TEST_P(RouterRevertTest, RevertRestoresLayoutAndStateAfterEveryChurn)
+{
+    const auto [use_storage, seed] = GetParam();
+    const std::size_t n = 30;
+    const Machine machine(MachineConfig::forQubits(n));
+    churnWithReverts(machine, n, use_storage, seed, 60);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Churn, RouterRevertTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(11, 22, 33, 44)));
+
+/** Tiny machine: revert under parking pressure, in both zone modes. */
+TEST(RouterRevertPressureTest, SmallMachineRevertsCleanly)
+{
+    const std::size_t n = 8;
+    const Machine machine(MachineConfig::forQubits(n));
+    churnWithReverts(machine, n, true, 5, 80);
+    churnWithReverts(machine, n, false, 5, 80);
+}
+
+/**
+ * Storage-free evictions: a stale pair left co-located must scatter, and
+ * reverting the eviction must put both atoms back on their shared site.
+ */
+TEST(RouterRevertEvictionTest, RevertUndoesStorageFreeEvictions)
+{
+    const std::size_t n = 6;
+    const Machine machine(MachineConfig::forQubits(16));
+    Rng stream(1);
+    ContinuousRouter router(machine, RouterOptions{false, 1}, stream);
+    Layout layout(machine, n);
+    placeRowMajor(layout, ZoneKind::Compute);
+    router.planStageTransition(layout, Stage{{CzGate{0, 1}}});
+    ASSERT_EQ(layout.siteOf(0), layout.siteOf(1));
+
+    const std::vector<SiteId> before = sitesOf(layout);
+    const Rng saved = stream;
+    const TransitionPlan plan =
+        router.planStageTransition(layout, Stage{{CzGate{2, 3}}});
+    ASSERT_EQ(plan.num_evicted, 1u);
+    router.revert(layout, plan);
+    std::string why;
+    ASSERT_TRUE(router.auditAgainstLayout(layout, &why)) << why;
+    EXPECT_EQ(sitesOf(layout), before);
+    EXPECT_EQ(layout.siteOf(0), layout.siteOf(1));
+
+    // From the reverted state and the same RNG position, the same
+    // transition plans identically.
+    stream = saved;
+    const TransitionPlan again =
+        router.planStageTransition(layout, Stage{{CzGate{2, 3}}});
+    EXPECT_EQ(again.moves, plan.moves);
 }
 
 } // namespace

@@ -1,11 +1,13 @@
-/** @file Differential lock: FastContinuousRouter == ContinuousRouter.
+/** @file Differential lock: ContinuousRouter == reference::ContinuousRouter.
  *
- * The fast path promises bit-identical plans — same moves in the same
- * order, same labels, same counters, same RNG consumption — so every
- * test here drives the two routers side by side from identical inputs
- * and compares the outputs exactly. Coverage spans the Table 2 suite
- * (full pipeline through scheduleToJson) and randomized stage
- * sequences in both zone configurations (router level, plan by plan).
+ * The incremental production router promises bit-identical plans to the
+ * per-transition reference oracle (tests/reference_router.hpp) — same
+ * moves in the same order, same labels, same counters, same RNG
+ * consumption — so every test here drives the two routers side by side
+ * from identical inputs and compares the outputs exactly. Coverage
+ * spans the Table 2 suite (full pipeline through scheduleToJson) and
+ * randomized stage sequences in both zone configurations (router
+ * level, plan by plan).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +17,7 @@
 #include "common/rng.hpp"
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
-#include "route/fast_router.hpp"
+#include "reference_router.hpp"
 #include "route/router.hpp"
 #include "workloads/suite.hpp"
 
@@ -39,12 +41,12 @@ randomStage(Rng &rng, std::size_t num_qubits)
 
 void
 expectPlansIdentical(const TransitionPlan &reference,
-                     const TransitionPlan &fast, int step)
+                     const TransitionPlan &production, int step)
 {
-    EXPECT_EQ(reference.moves, fast.moves) << "step " << step;
-    EXPECT_EQ(reference.labels, fast.labels) << "step " << step;
-    EXPECT_EQ(reference.num_parked, fast.num_parked) << "step " << step;
-    EXPECT_EQ(reference.num_evicted, fast.num_evicted) << "step " << step;
+    EXPECT_EQ(reference.moves, production.moves) << "step " << step;
+    EXPECT_EQ(reference.labels, production.labels) << "step " << step;
+    EXPECT_EQ(reference.num_parked, production.num_parked) << "step " << step;
+    EXPECT_EQ(reference.num_evicted, production.num_evicted) << "step " << step;
 }
 
 /**
@@ -65,25 +67,26 @@ TEST_P(FastRouterDifferential, RandomStageSequencesMatchPlanByPlan)
     const RouterOptions options{use_storage, seed};
 
     Rng reference_stream(seed);
-    Rng fast_stream(seed);
-    ContinuousRouter reference(machine, options, reference_stream);
-    FastContinuousRouter fast(machine, options, fast_stream);
+    Rng prod_stream(seed);
+    reference::ContinuousRouter reference(machine, options, reference_stream);
+    ContinuousRouter production(machine, options, prod_stream);
 
     Layout reference_layout(machine, n);
-    Layout fast_layout(machine, n);
+    Layout prod_layout(machine, n);
     placeRowMajor(reference_layout,
                   use_storage ? ZoneKind::Storage : ZoneKind::Compute);
-    fast_layout.assignFrom(reference_layout);
+    prod_layout.assignFrom(reference_layout);
 
     Rng stage_rng(seed * 31 + 7);
     for (int step = 0; step < 40; ++step) {
         const Stage stage = randomStage(stage_rng, n);
         const auto ref_plan =
             reference.planStageTransition(reference_layout, stage);
-        const auto fast_plan = fast.planStageTransition(fast_layout, stage);
-        expectPlansIdentical(ref_plan, fast_plan, step);
+        const auto prod_plan =
+            production.planStageTransition(prod_layout, stage);
+        expectPlansIdentical(ref_plan, prod_plan, step);
         for (QubitId q = 0; q < n; ++q) {
-            ASSERT_EQ(reference_layout.siteOf(q), fast_layout.siteOf(q))
+            ASSERT_EQ(reference_layout.siteOf(q), prod_layout.siteOf(q))
                 << "layouts diverged at qubit " << q << ", step " << step;
         }
     }
@@ -96,9 +99,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Acceptance lock: across the whole Table 2 suite, in both zone
- * configurations, --routing=fast emits the same machine program as the
- * reference router, bit for bit (serialized instruction streams compare
- * every field of every instruction plus the initial sites).
+ * configurations, --routing=continuous emits the same machine program
+ * as the pipeline routed by the reference oracle, bit for bit
+ * (serialized instruction streams compare every field of every
+ * instruction plus the initial sites).
  */
 TEST(FastRouterTable2Test, FullPipelineBitIdenticalOnTable2)
 {
@@ -106,19 +110,15 @@ TEST(FastRouterTable2Test, FullPipelineBitIdenticalOnTable2)
         const Machine machine(spec.machine_config);
         const Circuit circuit = spec.build();
         for (const bool use_storage : {true, false}) {
-            CompilerOptions reference_options;
-            reference_options.use_storage = use_storage;
-            reference_options.routing = RoutingStrategy::Continuous;
-            CompilerOptions fast_options = reference_options;
-            fast_options.routing = RoutingStrategy::Fast;
+            CompilerOptions options;
+            options.use_storage = use_storage;
+            options.routing = RoutingStrategy::Continuous;
 
-            const auto reference =
-                PowerMoveCompiler(machine, reference_options)
-                    .compile(circuit);
-            const auto fast =
-                PowerMoveCompiler(machine, fast_options).compile(circuit);
-            EXPECT_EQ(scheduleToJson(reference.schedule),
-                      scheduleToJson(fast.schedule))
+            const auto production =
+                PowerMoveCompiler(machine, options).compile(circuit);
+            EXPECT_EQ(scheduleToJson(production.schedule),
+                      scheduleToJson(reference::compileSchedule(
+                          machine, circuit, options)))
                 << spec.name << (use_storage ? " with" : " without")
                 << " storage diverged from the reference router";
         }
@@ -131,12 +131,12 @@ TEST(FastRouterEdgeTest, RepeatedAndAdjacentGatesMatch)
     const std::size_t n = 9;
     const Machine machine(MachineConfig::forQubits(n));
     const RouterOptions options{true, 99};
-    Rng ref_stream(5), fast_stream(5);
-    ContinuousRouter reference(machine, options, ref_stream);
-    FastContinuousRouter fast(machine, options, fast_stream);
-    Layout ref_layout(machine, n), fast_layout(machine, n);
+    Rng ref_stream(5), prod_stream(5);
+    reference::ContinuousRouter reference(machine, options, ref_stream);
+    ContinuousRouter production(machine, options, prod_stream);
+    Layout ref_layout(machine, n), prod_layout(machine, n);
     placeRowMajor(ref_layout, ZoneKind::Storage);
-    fast_layout.assignFrom(ref_layout);
+    prod_layout.assignFrom(ref_layout);
 
     const std::vector<Stage> stages = {
         Stage{{CzGate{0, 1}, CzGate{2, 3}}},
@@ -148,8 +148,9 @@ TEST(FastRouterEdgeTest, RepeatedAndAdjacentGatesMatch)
     int step = 0;
     for (const Stage &stage : stages) {
         const auto ref_plan = reference.planStageTransition(ref_layout, stage);
-        const auto fast_plan = fast.planStageTransition(fast_layout, stage);
-        expectPlansIdentical(ref_plan, fast_plan, step++);
+        const auto prod_plan =
+            production.planStageTransition(prod_layout, stage);
+        expectPlansIdentical(ref_plan, prod_plan, step++);
     }
 }
 
@@ -158,25 +159,25 @@ TEST(FastRouterResetTest, ResetResyncsAfterExternalMutation)
 {
     const std::size_t n = 12;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter fast(machine, RouterOptions{true, 7});
-    ContinuousRouter reference(machine, RouterOptions{true, 7});
+    ContinuousRouter production(machine, RouterOptions{true, 7});
+    reference::ContinuousRouter reference(machine, RouterOptions{true, 7});
 
-    Layout fast_layout(machine, n), ref_layout(machine, n);
-    placeRowMajor(fast_layout, ZoneKind::Storage);
-    fast.planStageTransition(fast_layout, Stage{{CzGate{0, 1}}});
+    Layout prod_layout(machine, n), ref_layout(machine, n);
+    placeRowMajor(prod_layout, ZoneKind::Storage);
+    production.planStageTransition(prod_layout, Stage{{CzGate{0, 1}}});
 
     // Mutate the layout behind the router's back, then resync both
-    // sides: after reset() the fast router must agree with a fresh
+    // sides: after reset() the production router must agree with a fresh
     // reference router on the same layout.
-    fast_layout.moveTo(2, machine.storageSites().back());
-    fast.reset();
-    ref_layout.assignFrom(fast_layout);
+    prod_layout.moveTo(2, machine.storageSites().back());
+    production.reset();
+    ref_layout.assignFrom(prod_layout);
 
     const Stage stage{{CzGate{2, 3}, CzGate{0, 4}}};
     const auto ref_plan = reference.planStageTransition(ref_layout, stage);
-    const auto fast_plan = fast.planStageTransition(fast_layout, stage);
-    EXPECT_EQ(ref_plan.moves, fast_plan.moves);
-    EXPECT_EQ(ref_plan.labels, fast_plan.labels);
+    const auto prod_plan = production.planStageTransition(prod_layout, stage);
+    EXPECT_EQ(ref_plan.moves, prod_plan.moves);
+    EXPECT_EQ(ref_plan.labels, prod_plan.labels);
 }
 
 } // namespace

@@ -185,15 +185,10 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(fidelity));
     EXPECT_NE(fingerprintOptions(lti), fingerprintOptions(fidelity));
 
-    CompilerOptions fast_routing = base;
-    fast_routing.routing = RoutingStrategy::Fast;
-    EXPECT_NE(fingerprintOptions(base), fingerprintOptions(fast_routing));
-    EXPECT_NE(fingerprintOptions(routing), fingerprintOptions(fast_routing));
-
     CompilerOptions windowed_routing = base;
     windowed_routing.routing = RoutingStrategy::Windowed;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(windowed_routing));
-    EXPECT_NE(fingerprintOptions(fast_routing),
+    EXPECT_NE(fingerprintOptions(routing),
               fingerprintOptions(windowed_routing));
 
     CompilerOptions window = base;
@@ -260,12 +255,9 @@ TEST(FingerprintTest, JobFingerprintCombinesAllThreeParts)
 
 /**
  * Schedule-neutral options must not reach the derived seed: profiling
- * never changes the emitted schedule, and the fast routing path is
- * bit-identical to the reference router at equal seeds — so both
- * normalize away in seedFingerprintJob() while still addressing
- * distinct cache entries via fingerprintJob(). This is what makes
- * `--routing=fast` reproduce `--routing=continuous` byte for byte all
- * the way through the service (the CLI e2e job cmp's the ISA JSON).
+ * never changes the emitted schedule, so it normalizes away in
+ * seedFingerprintJob() while still addressing a distinct cache entry
+ * via fingerprintJob().
  */
 TEST(FingerprintTest, ScheduleNeutralOptionsShareTheSeedFingerprint)
 {
@@ -275,17 +267,12 @@ TEST(FingerprintTest, ScheduleNeutralOptionsShareTheSeedFingerprint)
     const MachineConfig config = MachineConfig::forQubits(4);
     const CompilerOptions continuous;
 
-    CompilerOptions fast = continuous;
-    fast.routing = RoutingStrategy::Fast;
-    EXPECT_EQ(seedFingerprintJob(circuit, config, continuous),
-              seedFingerprintJob(circuit, config, fast));
-    EXPECT_NE(fingerprintJob(circuit, config, continuous),
-              fingerprintJob(circuit, config, fast));
-
     CompilerOptions profiled = continuous;
     profiled.profile_passes = !profiled.profile_passes;
     EXPECT_EQ(seedFingerprintJob(circuit, config, continuous),
               seedFingerprintJob(circuit, config, profiled));
+    EXPECT_NE(fingerprintJob(circuit, config, continuous),
+              fingerprintJob(circuit, config, profiled));
 
     // Strategies that genuinely change the schedule keep their own
     // randomized-decision streams.
@@ -304,6 +291,29 @@ TEST(FingerprintTest, ScheduleNeutralOptionsShareTheSeedFingerprint)
     lti_reuse.residency = ResidencyPolicy::Lti;
     EXPECT_NE(seedFingerprintJob(circuit, config, reuse),
               seedFingerprintJob(circuit, config, lti_reuse));
+}
+
+/**
+ * Golden values: the routing enum value is hashed, so retiring a
+ * strategy must not renumber the survivors. Continuous and windowed
+ * jobs keep the fingerprints (cache addresses and derived seeds) they
+ * had while `fast` still existed.
+ */
+TEST(FingerprintTest, RoutingFingerprintsArePinned)
+{
+    Circuit circuit(4);
+    circuit.append(CzGate{0, 1});
+    circuit.append(CzGate{2, 3});
+    const MachineConfig config = MachineConfig::forQubits(4);
+    const CompilerOptions continuous;
+    CompilerOptions windowed = continuous;
+    windowed.routing = RoutingStrategy::Windowed;
+    EXPECT_EQ(fingerprintJob(circuit, config, continuous),
+              0x0a74db1eff20b0b2ULL);
+    EXPECT_EQ(fingerprintJob(circuit, config, windowed),
+              0x0c64a26b63cd9af6ULL);
+    EXPECT_EQ(seedFingerprintJob(circuit, config, windowed),
+              0x0c64a26b63cd9af6ULL);
 }
 
 TEST(FingerprintTest, DerivedSeedsAreDeterministicAndDecorrelated)

@@ -23,7 +23,9 @@
 #include "compiler/powermove.hpp"
 #include "common/rng.hpp"
 #include "enola/enola.hpp"
+#include "isa/json.hpp"
 #include "isa/validator.hpp"
+#include "reference_router.hpp"
 #include "service/disk_cache.hpp"
 #include "service/job_service.hpp"
 
@@ -79,15 +81,10 @@ struct FuzzCase
     ResidencyPolicy residency = ResidencyPolicy::Lookahead;
 };
 
-class PipelineFuzz : public ::testing::TestWithParam<FuzzCase>
-{};
-
-TEST_P(PipelineFuzz, PowerMoveSchedulesValidate)
+/** The compiler options every fuzz test derives from @p param. */
+CompilerOptions
+optionsFor(const FuzzCase &param)
 {
-    const auto param = GetParam();
-    const Circuit circuit =
-        randomCircuit(param.num_qubits, 12, param.seed);
-    const Machine machine(MachineConfig::forQubits(param.num_qubits));
     CompilerOptions options;
     options.use_storage = param.use_storage;
     options.num_aods = param.num_aods;
@@ -101,18 +98,52 @@ TEST_P(PipelineFuzz, PowerMoveSchedulesValidate)
     // A tight budget still exercises greedy + refinement while keeping
     // the case count x placement sweep cheap.
     options.placement_refine_iters = 8;
+    return options;
+}
+
+class PipelineFuzz : public ::testing::TestWithParam<FuzzCase>
+{};
+
+TEST_P(PipelineFuzz, PowerMoveSchedulesValidate)
+{
+    const auto param = GetParam();
+    const Circuit circuit =
+        randomCircuit(param.num_qubits, 12, param.seed);
+    const Machine machine(MachineConfig::forQubits(param.num_qubits));
+    const CompilerOptions options = optionsFor(param);
     const PowerMoveCompiler compiler(machine, options);
     const auto result = compiler.compile(circuit);
     EXPECT_NO_THROW(validateAgainstCircuit(result.schedule, circuit))
         << "seed=" << param.seed;
     EXPECT_GT(result.metrics.fidelity(), 0.0);
     if (param.use_storage && param.routing != RoutingStrategy::Reuse) {
-        // Continuous semantics (shared by the fast path and every
-        // windowed candidate) keep every idle qubit out of the compute
+        // Continuous semantics (shared by every windowed candidate)
+        // keep every idle qubit out of the compute
         // zone during pulses; atom reuse deliberately trades excitation
         // exposures for saved storage round trips.
         EXPECT_EQ(result.metrics.excitation_exposures, 0u);
     }
+}
+
+/**
+ * The routing axis against the reference oracles: every case the
+ * reference routers can replay (continuous, windowed, and reuse's
+ * storage-free fallback) must emit the identical machine program.
+ */
+TEST_P(PipelineFuzz, RoutingMatchesReferenceOracle)
+{
+    const auto param = GetParam();
+    if (param.routing == RoutingStrategy::Reuse && param.use_storage)
+        GTEST_SKIP() << "reuse with storage has no reference router";
+    const Circuit circuit =
+        randomCircuit(param.num_qubits, 12, param.seed);
+    const Machine machine(MachineConfig::forQubits(param.num_qubits));
+    const CompilerOptions options = optionsFor(param);
+    const auto result = PowerMoveCompiler(machine, options).compile(circuit);
+    EXPECT_EQ(scheduleToJson(result.schedule),
+              scheduleToJson(
+                  reference::compileSchedule(machine, circuit, options)))
+        << "seed=" << param.seed;
 }
 
 TEST_P(PipelineFuzz, EnolaSchedulesValidate)
@@ -155,17 +186,7 @@ TEST_P(PipelineFuzz, JobServiceMatchesEffectiveOptionsReplay)
     const auto param = GetParam();
     const Circuit circuit =
         randomCircuit(param.num_qubits, 12, param.seed);
-    CompilerOptions options;
-    options.use_storage = param.use_storage;
-    options.num_aods = param.num_aods;
-    options.seed = param.seed * 17 + 3;
-    options.routing = param.routing;
-    options.reuse_lookahead = param.reuse_lookahead;
-    options.placement = param.placement;
-    options.stage_partition = param.stage_partition;
-    options.routing_window = param.routing_window;
-    options.residency = param.residency;
-    options.placement_refine_iters = 8;
+    const CompilerOptions options = optionsFor(param);
     const service::CompileJob job{
         circuit, MachineConfig::forQubits(param.num_qubits), options};
 
@@ -216,14 +237,14 @@ TEST_P(PipelineFuzz, JobServiceMatchesEffectiveOptionsReplay)
 std::vector<FuzzCase>
 makeCases()
 {
-    // The routing axis samples both strategies everywhere, plus window
+    // The routing axis samples every strategy everywhere, plus window
     // extremes for reuse (1 = hold only for the very next stage; 16 =
     // effectively unbounded for 12-moment circuits); reuse with
     // use_storage = false exercises the continuous fallback. The
     // placement and stage-partition axes rotate through every strategy
     // across the cases (rather than multiplying the count out), so each
-    // value sees every qubit count, both zone configurations, and both
-    // routers somewhere in the sweep.
+    // value sees every qubit count, both zone configurations, and every
+    // router somewhere in the sweep.
     constexpr PlacementStrategy kPlacements[] = {
         PlacementStrategy::RowMajor,
         PlacementStrategy::ColumnInterleaved,
@@ -271,11 +292,6 @@ makeCases()
                                      kResidencies[(cases.size() + group) %
                                                   std::size(kResidencies)]});
                 }
-                // The incremental fast path sees the same axis sweep as
-                // the reference it must mirror.
-                cases.push_back(
-                    {seed++, n, storage, aods, RoutingStrategy::Fast, 4,
-                     next_placement(), next_partition()});
                 // Windowed search at the degenerate and a real width.
                 for (const std::uint32_t window : {1u, 4u}) {
                     cases.push_back({seed++, n, storage, aods,

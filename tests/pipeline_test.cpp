@@ -9,8 +9,8 @@
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
+#include "reference_router.hpp"
 #include "route/grouping.hpp"
-#include "route/router.hpp"
 #include "schedule/stage_order.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/suite.hpp"
@@ -19,10 +19,12 @@ namespace powermove {
 namespace {
 
 /**
- * The pre-pipeline monolithic compiler, reproduced verbatim from the
- * seed's PowerMoveCompiler::compile() out of the same public building
- * blocks. The pipeline regression below holds the refactored compiler
- * to this reference bit-for-bit under default options.
+ * The pre-pipeline monolithic compiler, reproduced from the seed's
+ * PowerMoveCompiler::compile() out of the same public building blocks,
+ * with the per-transition reference router (tests/reference_router.hpp)
+ * the seed shipped. The pipeline regression below holds the refactored
+ * compiler and its incremental router to this reference bit-for-bit
+ * under default options.
  */
 MachineSchedule
 legacyCompile(const Machine &machine, const Circuit &circuit,
@@ -37,7 +39,8 @@ legacyCompile(const Machine &machine, const Circuit &circuit,
         initial_sites[q] = layout.siteOf(q);
 
     MachineSchedule schedule(machine, std::move(initial_sites));
-    ContinuousRouter router(machine, {options.use_storage, options.seed});
+    reference::ContinuousRouter router(machine,
+                                       {options.use_storage, options.seed});
     const StageOrderOptions order_options{options.stage_order_alpha};
 
     std::size_t block_index = 0;

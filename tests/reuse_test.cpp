@@ -370,7 +370,7 @@ TEST(ReuseStrategyNameTest, NamesRoundTripAndCatalogCoversRouting)
 {
     for (const auto strategy :
          {RoutingStrategy::Continuous, RoutingStrategy::Reuse,
-          RoutingStrategy::Fast, RoutingStrategy::Windowed}) {
+          RoutingStrategy::Windowed}) {
         RoutingStrategy parsed{};
         EXPECT_TRUE(
             parseRoutingStrategy(routingStrategyName(strategy), parsed));
@@ -378,6 +378,8 @@ TEST(ReuseStrategyNameTest, NamesRoundTripAndCatalogCoversRouting)
     }
     RoutingStrategy untouched = RoutingStrategy::Reuse;
     EXPECT_FALSE(parseRoutingStrategy("bogus", untouched));
+    // `fast` was retired when it became the only continuous router.
+    EXPECT_FALSE(parseRoutingStrategy("fast", untouched));
     EXPECT_EQ(untouched, RoutingStrategy::Reuse);
 
     bool saw_routing = false;
@@ -386,11 +388,10 @@ TEST(ReuseStrategyNameTest, NamesRoundTripAndCatalogCoversRouting)
         if (entry.dimension == "routing") {
             saw_routing = true;
             EXPECT_EQ(entry.flag, "--routing");
-            ASSERT_EQ(entry.values.size(), 4u);
+            ASSERT_EQ(entry.values.size(), 3u);
             EXPECT_EQ(entry.values[0], "continuous"); // default first
             EXPECT_EQ(entry.values[1], "reuse");
-            EXPECT_EQ(entry.values[2], "fast");
-            EXPECT_EQ(entry.values[3], "windowed");
+            EXPECT_EQ(entry.values[2], "windowed");
         }
     }
     EXPECT_TRUE(saw_routing);

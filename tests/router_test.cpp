@@ -1,4 +1,9 @@
-/** @file Tests for the Continuous Router (Sec. 5.2). */
+/** @file Tests for the Continuous Router (Sec. 5.2).
+ *
+ * Every behavioural test runs against both the production router and
+ * the reference oracle (tests/reference_router.hpp), so the two are
+ * held to the same paper rules, not merely to each other.
+ */
 
 #include <gtest/gtest.h>
 
@@ -7,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "reference_router.hpp"
 #include "route/router.hpp"
 
 namespace powermove {
@@ -55,6 +61,7 @@ checkStageLayout(const Machine &machine, const Layout &layout,
     }
 }
 
+template <typename Router>
 class RouterTest : public ::testing::Test
 {
   protected:
@@ -79,10 +86,14 @@ class RouterTest : public ::testing::Test
     Machine machine_;
 };
 
-TEST_F(RouterTest, BothInStorageGetMobileAndUndecided)
+using RouterTypes =
+    ::testing::Types<ContinuousRouter, reference::ContinuousRouter>;
+TYPED_TEST_SUITE(RouterTest, RouterTypes);
+
+TYPED_TEST(RouterTest, BothInStorageGetMobileAndUndecided)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(4);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(4);
     const auto stage = stageOf({{0, 1}});
     const auto plan = router.planStageTransition(layout, stage);
 
@@ -90,13 +101,13 @@ TEST_F(RouterTest, BothInStorageGetMobileAndUndecided)
     ASSERT_EQ(plan.labels.size(), 2u);
     EXPECT_EQ(plan.labels[0].second, MoveLabel::Mobile);
     EXPECT_EQ(plan.labels[1].second, MoveLabel::Undecided);
-    checkStageLayout(machine_, layout, stage, true);
+    checkStageLayout(this->machine_, layout, stage, true);
 }
 
-TEST_F(RouterTest, StorageComputeCaseKeepsComputeQubitStatic)
+TYPED_TEST(RouterTest, StorageComputeCaseKeepsComputeQubitStatic)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(4);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(4);
     // Stage 1 brings 0 and 1 into the compute zone.
     router.planStageTransition(layout, stageOf({{0, 1}}));
     // Stage 2 interacts 0 (compute) with 2 (storage): Fig. 4(c) case 1.
@@ -115,13 +126,13 @@ TEST_F(RouterTest, StorageComputeCaseKeepsComputeQubitStatic)
     EXPECT_TRUE(q0_static);
     EXPECT_EQ(layout.siteOf(0), site_before);
     EXPECT_EQ(layout.siteOf(2), site_before);
-    checkStageLayout(machine_, layout, stage, true);
+    checkStageLayout(this->machine_, layout, stage, true);
 }
 
-TEST_F(RouterTest, RepeatedGateNeedsNoMoves)
+TYPED_TEST(RouterTest, RepeatedGateNeedsNoMoves)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(4);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(4);
     router.planStageTransition(layout, stageOf({{0, 1}}));
     const SiteId site = layout.siteOf(0);
 
@@ -133,10 +144,10 @@ TEST_F(RouterTest, RepeatedGateNeedsNoMoves)
         EXPECT_EQ(label, MoveLabel::Static);
 }
 
-TEST_F(RouterTest, IdleQubitsAreParkedInStorage)
+TYPED_TEST(RouterTest, IdleQubitsAreParkedInStorage)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(6);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(6);
     router.planStageTransition(layout, stageOf({{0, 1}, {2, 3}}));
     EXPECT_EQ(layout.countInZone(ZoneKind::Compute), 4u);
 
@@ -148,26 +159,26 @@ TEST_F(RouterTest, IdleQubitsAreParkedInStorage)
     EXPECT_EQ(layout.zoneOf(3), ZoneKind::Storage);
 }
 
-TEST_F(RouterTest, ParkedQubitPrefersOwnColumn)
+TYPED_TEST(RouterTest, ParkedQubitPrefersOwnColumn)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(2);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(2);
     router.planStageTransition(layout, stageOf({{0, 1}}));
-    const auto column = machine_.coordOf(layout.siteOf(0)).x;
+    const auto column = this->machine_.coordOf(layout.siteOf(0)).x;
 
     const auto plan = router.planStageTransition(layout, stageOf({}));
     EXPECT_EQ(plan.num_parked, 2u);
     // The pair shared one site; at least one lands in the same column.
     const bool same_column =
-        machine_.coordOf(layout.siteOf(0)).x == column ||
-        machine_.coordOf(layout.siteOf(1)).x == column;
+        this->machine_.coordOf(layout.siteOf(0)).x == column ||
+        this->machine_.coordOf(layout.siteOf(1)).x == column;
     EXPECT_TRUE(same_column);
 }
 
-TEST_F(RouterTest, NonStorageEvictsStalePairs)
+TYPED_TEST(RouterTest, NonStorageEvictsStalePairs)
 {
-    ContinuousRouter router(machine_, {false, 1});
-    auto layout = computeLayout(6);
+    TypeParam router(this->machine_, {false, 1});
+    auto layout = this->computeLayout(6);
     router.planStageTransition(layout, stageOf({{0, 1}}));
     EXPECT_EQ(layout.siteOf(0), layout.siteOf(1));
 
@@ -176,26 +187,26 @@ TEST_F(RouterTest, NonStorageEvictsStalePairs)
     const auto plan = router.planStageTransition(layout, stage);
     EXPECT_EQ(plan.num_evicted, 1u);
     EXPECT_NE(layout.siteOf(0), layout.siteOf(1));
-    checkStageLayout(machine_, layout, stage, false);
+    checkStageLayout(this->machine_, layout, stage, false);
 }
 
-TEST_F(RouterTest, NonStorageEvictsIdleAtStaticSite)
+TYPED_TEST(RouterTest, NonStorageEvictsIdleAtStaticSite)
 {
-    ContinuousRouter router(machine_, {false, 7});
-    auto layout = computeLayout(6);
+    TypeParam router(this->machine_, {false, 7});
+    auto layout = this->computeLayout(6);
     // Pair up (0,1); afterwards 1 idles co-located with 0 which stays
     // interacting: 1 must be evicted from the interaction site.
     router.planStageTransition(layout, stageOf({{0, 1}}));
     const auto stage = stageOf({{0, 2}});
     router.planStageTransition(layout, stage);
     EXPECT_NE(layout.siteOf(1), layout.siteOf(0));
-    checkStageLayout(machine_, layout, stage, false);
+    checkStageLayout(this->machine_, layout, stage, false);
 }
 
-TEST_F(RouterTest, NonStorageNeverUsesStorage)
+TYPED_TEST(RouterTest, NonStorageNeverUsesStorage)
 {
-    ContinuousRouter router(machine_, {false, 1});
-    auto layout = computeLayout(8);
+    TypeParam router(this->machine_, {false, 1});
+    auto layout = this->computeLayout(8);
     for (const auto &stage :
          {stageOf({{0, 1}, {2, 3}}), stageOf({{1, 2}, {4, 5}}),
           stageOf({{0, 7}, {3, 6}})}) {
@@ -204,10 +215,10 @@ TEST_F(RouterTest, NonStorageNeverUsesStorage)
     }
 }
 
-TEST_F(RouterTest, MovesDepartFromTruePositions)
+TYPED_TEST(RouterTest, MovesDepartFromTruePositions)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(8);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(8);
     Layout before = layout;
     const auto plan =
         router.planStageTransition(layout, stageOf({{0, 5}, {2, 7}}));
@@ -218,10 +229,10 @@ TEST_F(RouterTest, MovesDepartFromTruePositions)
     }
 }
 
-TEST_F(RouterTest, EachQubitMovesAtMostOncePerTransition)
+TYPED_TEST(RouterTest, EachQubitMovesAtMostOncePerTransition)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(10);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(10);
     const auto plan = router.planStageTransition(
         layout, stageOf({{0, 9}, {1, 8}, {2, 7}}));
     std::vector<QubitId> movers;
@@ -232,13 +243,13 @@ TEST_F(RouterTest, EachQubitMovesAtMostOncePerTransition)
                 movers.end());
 }
 
-TEST_F(RouterTest, DeterministicForFixedSeed)
+TYPED_TEST(RouterTest, DeterministicForFixedSeed)
 {
     const RouterOptions options{true, 1234};
-    ContinuousRouter router_a(machine_, options);
-    ContinuousRouter router_b(machine_, options);
-    auto layout_a = storageLayout(8);
-    auto layout_b = storageLayout(8);
+    TypeParam router_a(this->machine_, options);
+    TypeParam router_b(this->machine_, options);
+    auto layout_a = this->storageLayout(8);
+    auto layout_b = this->storageLayout(8);
     for (const auto &stage :
          {stageOf({{0, 1}, {2, 3}}), stageOf({{1, 2}}), stageOf({{0, 3}})}) {
         const auto plan_a = router_a.planStageTransition(layout_a, stage);
@@ -247,34 +258,31 @@ TEST_F(RouterTest, DeterministicForFixedSeed)
     }
 }
 
-TEST_F(RouterTest, RequiresPlacedLayout)
+TYPED_TEST(RouterTest, RequiresPlacedLayout)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    Layout layout(machine_, 4);
+    TypeParam router(this->machine_, {true, 1});
+    Layout layout(this->machine_, 4);
     EXPECT_THROW(router.planStageTransition(layout, stageOf({{0, 1}})),
                  InternalError);
 }
 
-TEST_F(RouterTest, RejectsOverlappingStage)
+TYPED_TEST(RouterTest, RejectsOverlappingStage)
 {
-    ContinuousRouter router(machine_, {true, 1});
-    auto layout = storageLayout(4);
+    TypeParam router(this->machine_, {true, 1});
+    auto layout = this->storageLayout(4);
     Stage bad;
     bad.gates = {CzGate{0, 1}, CzGate{1, 2}};
     EXPECT_THROW(router.planStageTransition(layout, bad), InternalError);
 }
 
-/** Multi-stage randomized property sweep. */
-class RouterProperty
-    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
-{};
-
-TEST_P(RouterProperty, InvariantsHoldOverRandomStageSequences)
+/** Routes 25 random stages, checking the post-conditions after each. */
+template <typename Router>
+void
+checkRandomStageSequence(bool use_storage, std::uint64_t seed)
 {
-    const auto [use_storage, seed] = GetParam();
     const std::size_t n = 20;
     const Machine machine(MachineConfig::forQubits(n));
-    ContinuousRouter router(machine, {use_storage, seed});
+    Router router(machine, {use_storage, seed});
     Layout layout(machine, n);
     placeRowMajor(layout,
                   use_storage ? ZoneKind::Storage : ZoneKind::Compute);
@@ -295,6 +303,18 @@ TEST_P(RouterProperty, InvariantsHoldOverRandomStageSequences)
         router.planStageTransition(layout, stage);
         checkStageLayout(machine, layout, stage, use_storage);
     }
+}
+
+/** Multi-stage randomized property sweep. */
+class RouterProperty
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
+{};
+
+TEST_P(RouterProperty, InvariantsHoldOverRandomStageSequences)
+{
+    const auto [use_storage, seed] = GetParam();
+    checkRandomStageSequence<ContinuousRouter>(use_storage, seed);
+    checkRandomStageSequence<reference::ContinuousRouter>(use_storage, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

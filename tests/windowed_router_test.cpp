@@ -150,28 +150,27 @@ TEST(WindowedRouterQualityTest, WiderWindowNeverCostsMoreAtEachStep)
 {
     const std::size_t n = 22;
     const Machine machine(MachineConfig::forQubits(n));
-    Rng rng_narrow(4), rng_wide(4);
-    WindowedRouter narrow(machine, RouterOptions{true, 4}, 1, rng_narrow);
+    Rng rng_wide(4);
     WindowedRouter wide(machine, RouterOptions{true, 4}, 8, rng_wide);
-    Layout layout_narrow(machine, n), layout_wide(machine, n);
-    placeRowMajor(layout_narrow, ZoneKind::Storage);
-    layout_wide.assignFrom(layout_narrow);
+    Layout layout_wide(machine, n);
+    placeRowMajor(layout_wide, ZoneKind::Storage);
 
-    // Both routers draw one derivation value per transition from
-    // equally seeded streams, so at every step the wide window's
-    // candidate 0 is exactly the narrow router's plan; the layouts can
-    // drift apart once a shuffle wins, so the narrow side re-syncs to
-    // keep each step an apples-to-apples comparison.
+    // Each step routes a fresh window-1 router from a copy of the wide
+    // router's layout and stream position: both draw one derivation
+    // value per transition, so the wide window's candidate 0 is exactly
+    // the narrow router's plan.
     Rng stage_rng(13);
     for (int step = 0; step < 20; ++step) {
         const Stage stage = randomStage(stage_rng, n);
+        Layout layout_narrow = layout_wide;
+        Rng rng_narrow = rng_wide;
+        WindowedRouter narrow(machine, RouterOptions{true, 4}, 1, rng_narrow);
         const auto plan_narrow =
             narrow.planStageTransition(layout_narrow, stage);
         const auto plan_wide = wide.planStageTransition(layout_wide, stage);
         EXPECT_LE(totalMoveDistance(machine, plan_wide),
                   totalMoveDistance(machine, plan_narrow) + 1e-9)
             << "step " << step;
-        layout_narrow.assignFrom(layout_wide);
     }
 }
 

@@ -25,7 +25,8 @@
  *   --deadline-ms D  per-job queue-wait bound in milliseconds; jobs
  *                  still queued past it expire
  *   --max-queue N  per-shard admission bound: queued jobs beyond it are
- *                  rejected (default 1024, 0 = unbounded)
+ *                  rejected (default 0 = unbounded, so one call admits
+ *                  every input it names)
  *   --num-aods N   independent AOD arrays per compilation (default 1)
  *   --no-storage   storage-free configuration (all qubits in compute)
  *   --seed S       base RNG seed (per-job streams are derived from it)
@@ -42,10 +43,8 @@
  *                  (linear + stage-width rebalance)
  *   --routing R    stage-transition routing: continuous (default, the
  *                  paper's Sec. 5 router), reuse (gate-aware atom
- *                  reuse, src/reuse/), fast (bit-identical incremental
- *                  fast path, src/route/fast_router.*), or windowed
- *                  (best-of-N gate orderings, src/route/
- *                  windowed_router.*)
+ *                  reuse, src/reuse/), or windowed (best-of-N gate
+ *                  orderings, src/route/windowed_router.*)
  *   --residency P  reuse residency (cache replacement) policy: lookahead
  *                  (default), lru, lti, or fidelity (--routing reuse
  *                  only; src/reuse/policy.*)
@@ -126,8 +125,13 @@ struct CliOptions
     int priority = 0;
     /** Queue-wait deadline per job in ms; 0 = none. */
     double deadline_ms = 0.0;
-    /** Per-shard admission bound; 0 = unbounded. */
-    std::size_t max_queue = 1024;
+    /**
+     * Per-shard admission bound; 0 = unbounded. The CLI submits each
+     * input as soon as it is read, faster than the workers drain them,
+     * so a bound would make one call with many inputs reject its own
+     * work.
+     */
+    std::size_t max_queue = 0;
     /** Prometheus text exposition destination; empty = no export. */
     std::string metrics_out;
     /** JSON metrics destination; empty = no export. */
@@ -171,7 +175,7 @@ printUsage(std::FILE *stream)
         "                 queue-wait bound per job in milliseconds\n"
         "                 (0 = none)\n"
         "  --max-queue N  per-shard admission bound, 0 = unbounded\n"
-        "                 (default 1024)\n"
+        "                 (default 0)\n"
         "  --num-aods N   independent AOD arrays (default 1)\n"
         "  --no-storage   storage-free configuration\n"
         "  --seed S       base RNG seed (default 0xC0FFEE)\n"
@@ -188,9 +192,8 @@ printUsage(std::FILE *stream)
         "                 paper's edge coloring), or balanced (linear +\n"
         "                 stage-width rebalance)\n"
         "  --routing R    stage-transition routing: continuous (default),\n"
-        "                 reuse (gate-aware atom reuse), fast\n"
-        "                 (bit-identical incremental fast path), or\n"
-        "                 windowed (best-of-N gate orderings)\n"
+        "                 reuse (gate-aware atom reuse), or windowed\n"
+        "                 (best-of-N gate orderings)\n"
         "  --residency P  reuse residency (cache replacement) policy:\n"
         "                 lookahead (default), lru, lti, or fidelity\n"
         "                 (--routing reuse only)\n"
@@ -459,7 +462,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             if (!parseRoutingStrategy(text, cli.compiler.routing)) {
                 std::fprintf(stderr,
                              "powermove: unknown routing '%s' (expected "
-                             "continuous, reuse, fast, or windowed)\n",
+                             "continuous, reuse, or windowed)\n",
                              text.c_str());
                 return false;
             }
