@@ -4,14 +4,16 @@
  *
  * For every Table 2 benchmark, all of its CZ gates are merged into one
  * commutable block and replicated at several depth multipliers (deep
- * blocks are where the Coloring path's per-qubit clique expansion —
+ * blocks are where the conflict graph's per-qubit clique expansion —
  * O(k^2) edges for a qubit used in k gates — dominates compile time).
- * Each block is partitioned under every StagePartitionStrategy; the
- * harness times the partition alone, checks `linear` is bit-identical
- * to `coloring` (same greedy order, same colors), checks `balanced`
- * keeps the stage count with qubit-disjoint coverage-complete stages
- * without widening any stage, and reports the linear-vs-coloring
- * speedup plus the max-stage-width reduction balanced buys. Depth-1
+ * Each block is partitioned by both production strategies and by the
+ * paper's graph coloring (`coloring`, the test oracle in
+ * tests/reference_partition.*); the harness times the partition alone,
+ * checks `linear` is bit-identical to `coloring` (same greedy order,
+ * same colors), checks `balanced` keeps the stage count with
+ * qubit-disjoint coverage-complete stages without widening any stage,
+ * and reports the linear-vs-coloring speedup plus the max-stage-width
+ * reduction balanced buys. Depth-1
  * rows also time Enola's iterated-MIS extraction — the paper's
  * Sec. 7.2 compile-time comparison the pre-rewrite Google-Benchmark
  * harness carried (deeper rows skip it; iterated MIS is quadratic in
@@ -38,6 +40,7 @@
 
 #include "enola/mis.hpp"
 #include "harness.hpp"
+#include "reference_partition.hpp"
 #include "report/table.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/suite.hpp"
@@ -88,10 +91,17 @@ atDepth(const CzBlock &block, std::size_t depth)
     return deep;
 }
 
-constexpr StagePartitionStrategy kStrategies[] = {
-    StagePartitionStrategy::Coloring,
-    StagePartitionStrategy::Linear,
-    StagePartitionStrategy::Balanced,
+/** The oracle and the production partitioners, by report name. */
+struct Partitioner
+{
+    const char *name;
+    std::vector<Stage> (*partition)(const CzBlock &, std::size_t);
+};
+
+constexpr Partitioner kPartitioners[] = {
+    {"coloring", reference::partitionIntoStages},
+    {"linear", partitionIntoStages},
+    {"balanced", partitionIntoStagesBalanced},
 };
 
 std::size_t
@@ -191,22 +201,19 @@ main(int argc, char **argv)
             const std::string key_base =
                 entry.name + "|x" + std::to_string(depth);
 
-            std::map<StagePartitionStrategy, std::vector<Stage>> stages;
-            std::map<StagePartitionStrategy, double> micros;
-            for (const StagePartitionStrategy strategy : kStrategies) {
-                stages[strategy] =
-                    partitionIntoStagesBy(strategy, block, entry.num_qubits);
-                micros[strategy] = bench::minOfNWallMicros([&] {
-                    auto result = partitionIntoStagesBy(strategy, block,
-                                                        entry.num_qubits);
+            std::map<std::string, std::vector<Stage>> stages;
+            std::map<std::string, double> micros;
+            for (const Partitioner &partitioner : kPartitioners) {
+                const std::string name = partitioner.name;
+                stages[name] = partitioner.partition(block, entry.num_qubits);
+                micros[name] = bench::minOfNWallMicros([&] {
+                    auto result =
+                        partitioner.partition(block, entry.num_qubits);
                     (void)result;
                 });
-                records.push_back(
-                    {key_base + "|" +
-                         std::string(stagePartitionStrategyName(strategy)),
-                     block.gates.size(), micros[strategy],
-                     stages[strategy].size(),
-                     maxStageWidth(stages[strategy])});
+                records.push_back({key_base + "|" + name, block.gates.size(),
+                                   micros[name], stages[name].size(),
+                                   maxStageWidth(stages[name])});
             }
 
             // Enola baseline, shallow rows only (Sec. 7.2 comparison).
@@ -222,9 +229,9 @@ main(int argc, char **argv)
                                    mis_us, 0, 0});
             }
 
-            const auto &coloring = stages[StagePartitionStrategy::Coloring];
-            const auto &linear = stages[StagePartitionStrategy::Linear];
-            const auto &balanced = stages[StagePartitionStrategy::Balanced];
+            const auto &coloring = stages["coloring"];
+            const auto &linear = stages["linear"];
+            const auto &balanced = stages["balanced"];
 
             ++checked;
             if (!sameStages(coloring, linear)) {
@@ -249,11 +256,9 @@ main(int argc, char **argv)
                 ++balanced_mismatches;
             }
 
-            const double speedup =
-                micros[StagePartitionStrategy::Linear] > 0.0
-                    ? micros[StagePartitionStrategy::Coloring] /
-                          micros[StagePartitionStrategy::Linear]
-                    : 0.0;
+            const double speedup = micros["linear"] > 0.0
+                                       ? micros["coloring"] / micros["linear"]
+                                       : 0.0;
             if (depth == deepest)
                 deepest_speedups.push_back(speedup);
             width_reduced +=
@@ -263,10 +268,9 @@ main(int argc, char **argv)
             table.addRow(
                 {entry.name, "x" + std::to_string(depth),
                  std::to_string(block.gates.size()),
-                 fmt(micros[StagePartitionStrategy::Coloring], "%.1f"),
-                 fmt(micros[StagePartitionStrategy::Linear], "%.1f"),
-                 fmt(speedup, "%.1fx"),
-                 fmt(micros[StagePartitionStrategy::Balanced], "%.1f"),
+                 fmt(micros["coloring"], "%.1f"),
+                 fmt(micros["linear"], "%.1f"), fmt(speedup, "%.1fx"),
+                 fmt(micros["balanced"], "%.1f"),
                  mis_cell, std::to_string(coloring.size()),
                  std::to_string(maxStageWidth(coloring)) + ">" +
                      std::to_string(maxStageWidth(balanced))});

@@ -147,8 +147,7 @@ atDepth(const CzBlock &block, std::size_t depth)
 std::vector<Stage>
 stagesFor(const CzBlock &block, std::size_t num_qubits)
 {
-    return orderStages(partitionIntoStagesBy(StagePartitionStrategy::Linear,
-                                             block, num_qubits),
+    return orderStages(partitionIntoStages(block, num_qubits),
                        StageOrderOptions{});
 }
 

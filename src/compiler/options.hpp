@@ -69,10 +69,9 @@ struct CompilerOptions
      * How each commutable CZ block is split into Rydberg stages.
      * Linear (the default) is the graph-free qubit scan that reproduces
      * the paper's Sec. 4.1 edge coloring bit-for-bit without
-     * materializing the conflict graph — same schedules, linear time on
-     * deep blocks; Coloring is that reference edge coloring; Balanced
-     * additionally rebalances stage widths while keeping the stage
-     * count (src/schedule/stage_partition.hpp).
+     * materializing the conflict graph — linear time on deep blocks;
+     * Balanced additionally rebalances stage widths while keeping the
+     * stage count (src/schedule/stage_partition.hpp).
      */
     StagePartitionStrategy stage_partition = StagePartitionStrategy::Linear;
 
@@ -122,8 +121,8 @@ struct CompilerOptions
      * viewed as a cache of atoms over storage. Lookahead (the default)
      * is the fixed reuse_lookahead window with holds force-released at
      * every block boundary, bit-identical to the pre-policy router;
-     * Lru / Lti / Fidelity let residency persist across blocks and
-     * evict by recency, next-use distance, or the fidelity cost model
+     * Lti / Fidelity let residency persist across blocks and evict by
+     * next-use distance or the fidelity cost model
      * (src/reuse/policy.hpp). Ignored by every other routing strategy.
      */
     ResidencyPolicy residency = ResidencyPolicy::Lookahead;

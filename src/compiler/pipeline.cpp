@@ -10,47 +10,34 @@
 #include "fidelity/evaluator.hpp"
 #include "placement/routing_aware.hpp"
 #include "route/grouping.hpp"
+#include "schedule/stage_order.hpp"
 #include "schedule/stage_partition.hpp"
 
 namespace powermove {
 
 namespace {
 
-// --------------------------------------------------- placement strategies
-
-class RowMajorPlacement final : public PlacementMethod
+/**
+ * Places every unplaced qubit of ctx.layout into @p zone per
+ * options.placement. The routing-aware placement publishes its
+ * strategy-specific measurements as PassId::Placement counters; the
+ * simple layouts leave the profiler untouched.
+ */
+void
+placeBy(PipelineContext &ctx, ZoneKind zone)
 {
-  public:
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &,
-          PassProfiler &) const override
-    {
-        placeRowMajor(layout, zone);
-    }
-};
-
-class ColumnInterleavedPlacement final : public PlacementMethod
-{
-  public:
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &,
-          PassProfiler &) const override
-    {
-        placeColumnInterleaved(layout, zone);
-    }
-};
-
-class UsageFrequencyPlacement final : public PlacementMethod
-{
-  public:
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &circuit,
-          PassProfiler &) const override
-    {
+    switch (ctx.options.placement) {
+    case PlacementStrategy::RowMajor:
+        placeRowMajor(ctx.layout, zone);
+        return;
+    case PlacementStrategy::ColumnInterleaved:
+        placeColumnInterleaved(ctx.layout, zone);
+        return;
+    case PlacementStrategy::UsageFrequency: {
         // Weight = CZ-gate count: each CZ forces the qubit toward the
         // compute zone, so heavy qubits should start nearest to it.
-        std::vector<std::size_t> weights(circuit.numQubits(), 0);
-        for (const Moment &moment : circuit.moments()) {
+        std::vector<std::size_t> weights(ctx.circuit.numQubits(), 0);
+        for (const Moment &moment : ctx.circuit.moments()) {
             const auto *block = std::get_if<CzBlock>(&moment);
             if (block == nullptr)
                 continue;
@@ -59,166 +46,64 @@ class UsageFrequencyPlacement final : public PlacementMethod
                 ++weights[gate.b];
             }
         }
-        placeByUsageFrequency(layout, zone, weights);
+        placeByUsageFrequency(ctx.layout, zone, weights);
+        return;
     }
-};
-
-class RoutingAwarePlacement final : public PlacementMethod
-{
-  public:
-    explicit RoutingAwarePlacement(std::uint32_t refine_iters)
-        : options_{refine_iters}
-    {}
-
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &circuit,
-          PassProfiler &profiler) const override
-    {
+    case PlacementStrategy::RoutingAware: {
         RoutingAwarePlacementReport report;
-        placeRoutingAware(layout, zone, circuit, options_, &report);
+        placeRoutingAware(ctx.layout, zone, ctx.circuit,
+                          {ctx.options.placement_refine_iters}, &report);
         // Strategy-specific counters (kept off the default profile, as
         // with the reuse routing counters): the weighted interaction
         // distance before and after refinement, x1000 to survive the
         // integer counter format, plus the local-search effort.
-        profiler.addCounter(
+        ctx.profiler.addCounter(
             PassId::Placement, "initial_weighted_dist_x1000",
             static_cast<std::uint64_t>(
                 std::llround(report.initial_weighted_distance * 1000.0)));
-        profiler.addCounter(
+        ctx.profiler.addCounter(
             PassId::Placement, "refined_weighted_dist_x1000",
             static_cast<std::uint64_t>(
                 std::llround(report.refined_weighted_distance * 1000.0)));
-        profiler.addCounter(PassId::Placement, "refine_sweeps",
-                            report.refine_sweeps);
-        profiler.addCounter(PassId::Placement, "refine_moves",
-                            report.refine_moves);
+        ctx.profiler.addCounter(PassId::Placement, "refine_sweeps",
+                                report.refine_sweeps);
+        ctx.profiler.addCounter(PassId::Placement, "refine_moves",
+                                report.refine_moves);
+        return;
     }
-
-  private:
-    RoutingAwarePlacementOptions options_;
-};
-
-// ---------------------------------------------- stage-partition strategies
-
-// One class, not one per enum value: stage_partition.cpp already owns
-// the strategy dispatch (partitionIntoStagesBy), so a second switch
-// here would just be a place for a future fourth strategy to be missed.
-class SelectedStagePartition final : public StagePartitionMethod
-{
-  public:
-    explicit SelectedStagePartition(StagePartitionStrategy strategy)
-        : strategy_(strategy)
-    {}
-
-    std::vector<Stage>
-    partition(const CzBlock &block, std::size_t num_qubits) const override
-    {
-        return partitionIntoStagesBy(strategy_, block, num_qubits);
-    }
-
-  private:
-    StagePartitionStrategy strategy_;
-};
-
-// -------------------------------------------------- stage-order strategies
-
-class AsPartitionedStageOrder final : public StageOrderMethod
-{
-  public:
-    std::vector<Stage>
-    order(std::vector<Stage> stages, const StageOrderOptions &) const override
-    {
-        return stages;
-    }
-};
-
-class ZoneAwareStageOrder final : public StageOrderMethod
-{
-  public:
-    std::vector<Stage>
-    order(std::vector<Stage> stages,
-          const StageOrderOptions &options) const override
-    {
-        return orderStages(std::move(stages), options);
-    }
-};
-
-// ---------------------------------------------- coll-move-order strategies
-
-class AsGroupedCollMoveOrder final : public CollMoveOrderMethod
-{
-  public:
-    std::vector<CollMove>
-    order(const Machine &, std::vector<CollMove> groups) const override
-    {
-        return groups;
-    }
-};
-
-class StorageDwellCollMoveOrder final : public CollMoveOrderMethod
-{
-  public:
-    std::vector<CollMove>
-    order(const Machine &machine, std::vector<CollMove> groups) const override
-    {
-        return orderCollMoves(machine, std::move(groups));
-    }
-};
-
-} // namespace
-
-std::unique_ptr<const PlacementMethod>
-makePlacementMethod(PlacementStrategy strategy, std::uint32_t refine_iters)
-{
-    switch (strategy) {
-    case PlacementStrategy::RowMajor:
-        return std::make_unique<RowMajorPlacement>();
-    case PlacementStrategy::ColumnInterleaved:
-        return std::make_unique<ColumnInterleavedPlacement>();
-    case PlacementStrategy::UsageFrequency:
-        return std::make_unique<UsageFrequencyPlacement>();
-    case PlacementStrategy::RoutingAware:
-        return std::make_unique<RoutingAwarePlacement>(refine_iters);
     }
     fatal("unknown placement strategy");
 }
 
-std::unique_ptr<const StagePartitionMethod>
-makeStagePartitionMethod(StagePartitionStrategy strategy)
-{
-    return std::make_unique<SelectedStagePartition>(strategy);
-}
-
-std::unique_ptr<const StageOrderMethod>
-makeStageOrderMethod(StageOrderStrategy strategy)
+std::vector<Stage>
+partitionBy(StagePartitionStrategy strategy, const CzBlock &block,
+            std::size_t num_qubits)
 {
     switch (strategy) {
-    case StageOrderStrategy::AsPartitioned:
-        return std::make_unique<AsPartitionedStageOrder>();
-    case StageOrderStrategy::ZoneAware:
-        return std::make_unique<ZoneAwareStageOrder>();
+    case StagePartitionStrategy::Linear:
+        return partitionIntoStages(block, num_qubits);
+    case StagePartitionStrategy::Balanced:
+        return partitionIntoStagesBalanced(block, num_qubits);
     }
-    fatal("unknown stage-order strategy");
+    fatal("unknown stage-partition strategy");
 }
 
-std::unique_ptr<const CollMoveOrderMethod>
-makeCollMoveOrderMethod(CollMoveOrderStrategy strategy)
+std::vector<CollMove>
+orderCollMovesBy(CollMoveOrderStrategy strategy, const Machine &machine,
+                 std::vector<CollMove> groups)
 {
     switch (strategy) {
     case CollMoveOrderStrategy::AsGrouped:
-        return std::make_unique<AsGroupedCollMoveOrder>();
+        return groups;
     case CollMoveOrderStrategy::StorageDwell:
-        return std::make_unique<StorageDwellCollMoveOrder>();
+        return orderCollMoves(machine, std::move(groups));
     }
     fatal("unknown coll-move-order strategy");
 }
 
-// ------------------------------------------------------------------- passes
+} // namespace
 
-PlacementPass::PlacementPass(PlacementStrategy strategy,
-                             std::uint32_t refine_iters)
-    : method_(makePlacementMethod(strategy, refine_iters))
-{}
+// ------------------------------------------------------------------- passes
 
 void
 PlacementPass::run(PipelineContext &ctx) const
@@ -231,7 +116,7 @@ PlacementPass::run(PipelineContext &ctx) const
         ctx.options.use_storage ? ZoneKind::Storage : ZoneKind::Compute;
     ctx.profiler.addCounter(PassId::Placement, "qubits_placed",
                             ctx.circuit.numQubits());
-    method_->place(ctx.layout, zone, ctx.circuit, ctx.profiler);
+    placeBy(ctx, zone);
 
     std::vector<SiteId> initial_sites(ctx.circuit.numQubits());
     for (QubitId q = 0; q < ctx.circuit.numQubits(); ++q)
@@ -239,15 +124,12 @@ PlacementPass::run(PipelineContext &ctx) const
     ctx.schedule.emplace(ctx.machine, std::move(initial_sites));
 }
 
-StagePartitionPass::StagePartitionPass(StagePartitionStrategy strategy)
-    : method_(makeStagePartitionMethod(strategy))
-{}
-
 std::vector<Stage>
 StagePartitionPass::run(PipelineContext &ctx, const CzBlock &block) const
 {
     const auto timing = ctx.profiler.time(PassId::StagePartition);
-    auto stages = method_->partition(block, ctx.circuit.numQubits());
+    auto stages = partitionBy(ctx.options.stage_partition, block,
+                              ctx.circuit.numQubits());
     ctx.profiler.addCounter(PassId::StagePartition, "gates",
                             block.gates.size());
     ctx.profiler.addCounter(PassId::StagePartition, "stages_produced",
@@ -255,18 +137,20 @@ StagePartitionPass::run(PipelineContext &ctx, const CzBlock &block) const
     return stages;
 }
 
-StageOrderPass::StageOrderPass(StageOrderStrategy strategy)
-    : method_(makeStageOrderMethod(strategy))
-{}
-
 std::vector<Stage>
 StageOrderPass::run(PipelineContext &ctx, std::vector<Stage> stages) const
 {
     const auto timing = ctx.profiler.time(PassId::StageOrder);
     ctx.profiler.addCounter(PassId::StageOrder, "stages_ordered",
                             stages.size());
-    return method_->order(std::move(stages),
-                          StageOrderOptions{ctx.options.stage_order_alpha});
+    switch (ctx.options.stage_order) {
+    case StageOrderStrategy::AsPartitioned:
+        return stages;
+    case StageOrderStrategy::ZoneAware:
+        return orderStages(std::move(stages),
+                           StageOrderOptions{ctx.options.stage_order_alpha});
+    }
+    fatal("unknown stage-order strategy");
 }
 
 RoutingPass::RoutingPass(PipelineContext &ctx)
@@ -386,17 +270,14 @@ RoutingPass::endProgram(PipelineContext &ctx)
                             stats.max_concurrent);
 }
 
-CollMoveOrderPass::CollMoveOrderPass(CollMoveOrderStrategy strategy)
-    : method_(makeCollMoveOrderMethod(strategy))
-{}
-
 std::vector<CollMove>
 CollMoveOrderPass::run(PipelineContext &ctx,
                        std::vector<QubitMove> moves) const
 {
     const auto timing = ctx.profiler.time(PassId::CollMoveOrder);
     auto groups =
-        method_->order(ctx.machine, groupMoves(ctx.machine, std::move(moves)));
+        orderCollMovesBy(ctx.options.coll_move_order, ctx.machine,
+                         groupMoves(ctx.machine, std::move(moves)));
     ctx.profiler.addCounter(PassId::CollMoveOrder, "groups_formed",
                             groups.size());
     return groups;
@@ -436,12 +317,11 @@ Pipeline::run(const Circuit &circuit) const
                         Rng(options_.seed),
                         PassProfiler(options_.profile_passes)};
 
-    const PlacementPass placement(options_.placement,
-                                  options_.placement_refine_iters);
-    const StagePartitionPass partition(options_.stage_partition);
-    const StageOrderPass stage_order(options_.stage_order);
+    const PlacementPass placement;
+    const StagePartitionPass partition;
+    const StageOrderPass stage_order;
     RoutingPass routing(ctx);
-    const CollMoveOrderPass coll_move_order(options_.coll_move_order);
+    const CollMoveOrderPass coll_move_order;
     const AodBatchPass aod_batch;
 
     placement.run(ctx);

@@ -7,22 +7,21 @@
  * progress, RNG, counters) through six named passes:
  *
  *   PlacementPass      initial layout (strategy-selected)        [once]
- *   StagePartitionPass stage partition (Sec. 4.1 coloring, the   [per block]
- *                      bit-identical linear scan, or balanced)
+ *   StagePartitionPass stage partition (Sec. 4.1 coloring by a   [per block]
+ *                      graph-free linear scan, or balanced)
  *   StageOrderPass     zone-aware stage ordering (Sec. 4.2)      [per block]
  *   RoutingPass        layout transitions: continuous (Sec. 5),  [per stage]
  *                      reuse-aware (src/reuse/) or windowed
  *   CollMoveOrderPass  grouping + storage-dwell order (5.3/6.1)  [per stage]
  *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2)    [per stage]
  *
- * Passes with more than one algorithm delegate to a small strategy
- * interface (PlacementMethod, StagePartitionMethod, StageOrderMethod,
- * CollMoveOrderMethod) or strategy-selected router, chosen by the
- * CompilerOptions enums, so
- * new strategies from the related literature — e.g. routing-aware
- * placement — slot in without forking the driver. Each pass invocation
- * is timed and counted by the context's PassProfiler (see
- * compiler/profile.hpp).
+ * A pass with more than one algorithm switches on its CompilerOptions
+ * enum and calls the selected algorithm directly (placeRowMajor,
+ * partitionIntoStages, orderStages, orderCollMoves, ...); the routing
+ * pass owns a strategy-selected router. A new strategy from the
+ * related literature — e.g. routing-aware placement — is one enum value
+ * plus one case in its pass. Each pass invocation is timed and counted
+ * by the context's PassProfiler (see compiler/profile.hpp).
  *
  * With default options the pipeline reproduces the pre-pipeline
  * monolithic compiler bit-for-bit (pipeline_test.cpp locks this in
@@ -48,7 +47,6 @@
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage.hpp"
-#include "schedule/stage_order.hpp"
 
 namespace powermove {
 
@@ -71,115 +69,36 @@ struct PipelineContext
     std::size_t block_index = 0;
 };
 
-// ------------------------------------------------------- strategy interfaces
-
-/** Strategy interface of the PlacementPass. */
-class PlacementMethod
-{
-  public:
-    virtual ~PlacementMethod() = default;
-    /**
-     * Places every unplaced qubit of @p layout into @p zone. Methods
-     * with strategy-specific measurements publish them as PassId::
-     * Placement counters on @p profiler (the pass wrapper owns the
-     * timing scope and the shared counters); the simple layouts leave
-     * it untouched.
-     */
-    virtual void place(Layout &layout, ZoneKind zone, const Circuit &circuit,
-                       PassProfiler &profiler) const = 0;
-};
-
-/** Strategy interface of the StagePartitionPass. */
-class StagePartitionMethod
-{
-  public:
-    virtual ~StagePartitionMethod() = default;
-    /** Splits @p block into qubit-disjoint stages covering every gate. */
-    virtual std::vector<Stage> partition(const CzBlock &block,
-                                         std::size_t num_qubits) const = 0;
-};
-
-/** Strategy interface of the StageOrderPass. */
-class StageOrderMethod
-{
-  public:
-    virtual ~StageOrderMethod() = default;
-    virtual std::vector<Stage> order(std::vector<Stage> stages,
-                                     const StageOrderOptions &options)
-        const = 0;
-};
-
-/** Strategy interface of the CollMoveOrderPass (post-grouping order). */
-class CollMoveOrderMethod
-{
-  public:
-    virtual ~CollMoveOrderMethod() = default;
-    virtual std::vector<CollMove> order(const Machine &machine,
-                                        std::vector<CollMove> groups)
-        const = 0;
-};
-
-/**
- * Factory for the selected placement algorithm. @p refine_iters is the
- * routing-aware local-search budget (ignored by the other strategies).
- */
-std::unique_ptr<const PlacementMethod>
-makePlacementMethod(PlacementStrategy strategy, std::uint32_t refine_iters);
-
-/** Factory for the selected stage-partition algorithm. */
-std::unique_ptr<const StagePartitionMethod>
-makeStagePartitionMethod(StagePartitionStrategy strategy);
-
-/** Factory for the selected stage-order algorithm. */
-std::unique_ptr<const StageOrderMethod>
-makeStageOrderMethod(StageOrderStrategy strategy);
-
-/** Factory for the selected Coll-Move-order algorithm. */
-std::unique_ptr<const CollMoveOrderMethod>
-makeCollMoveOrderMethod(CollMoveOrderStrategy strategy);
-
 // ------------------------------------------------------------------- passes
 
 /**
- * Builds the initial layout (into storage when options.use_storage,
- * else into the compute zone) and engages ctx.schedule with the
- * resulting per-qubit sites.
+ * Builds the initial layout per options.placement (into storage when
+ * options.use_storage, else into the compute zone) and engages
+ * ctx.schedule with the resulting per-qubit sites.
  */
 class PlacementPass
 {
   public:
-    PlacementPass(PlacementStrategy strategy, std::uint32_t refine_iters);
     void run(PipelineContext &ctx) const;
-
-  private:
-    std::unique_ptr<const PlacementMethod> method_;
 };
 
 /**
  * Partitions one CZ block into disjoint-qubit stages (Algorithm 1) per
- * the selected strategy: the paper's edge coloring, the bit-identical
- * graph-free linear scan, or the width-balanced variant.
+ * options.stage_partition: the graph-free scan that reproduces the
+ * paper's edge coloring, or its width-balanced variant.
  */
 class StagePartitionPass
 {
   public:
-    explicit StagePartitionPass(StagePartitionStrategy strategy);
     std::vector<Stage> run(PipelineContext &ctx, const CzBlock &block) const;
-
-  private:
-    std::unique_ptr<const StagePartitionMethod> method_;
 };
 
-/** Orders the stages of one block per the selected strategy. */
+/** Orders the stages of one block per options.stage_order. */
 class StageOrderPass
 {
   public:
-    explicit StageOrderPass(StageOrderStrategy strategy);
     std::vector<Stage> run(PipelineContext &ctx,
                            std::vector<Stage> stages) const;
-
-  private:
-    std::unique_ptr<const StageOrderMethod> method_;
 };
 
 /**
@@ -220,16 +139,15 @@ class RoutingPass
     std::unique_ptr<WindowedRouter> windowed_router_;  // engaged iff Windowed
 };
 
-/** Groups a transition's moves into Coll-Moves and orders them. */
+/**
+ * Groups a transition's moves into Coll-Moves and orders them per
+ * options.coll_move_order.
+ */
 class CollMoveOrderPass
 {
   public:
-    explicit CollMoveOrderPass(CollMoveOrderStrategy strategy);
     std::vector<CollMove> run(PipelineContext &ctx,
                               std::vector<QubitMove> moves) const;
-
-  private:
-    std::unique_ptr<const CollMoveOrderMethod> method_;
 };
 
 /** Splits ordered Coll-Moves into parallel multi-AOD batches. */

@@ -22,8 +22,6 @@ std::string_view
 stagePartitionStrategyName(StagePartitionStrategy strategy)
 {
     switch (strategy) {
-    case StagePartitionStrategy::Coloring:
-        return "coloring";
     case StagePartitionStrategy::Linear:
         return "linear";
     case StagePartitionStrategy::Balanced:
@@ -87,8 +85,7 @@ bool
 parseStagePartitionStrategy(std::string_view text, StagePartitionStrategy &out)
 {
     for (const auto strategy :
-         {StagePartitionStrategy::Coloring, StagePartitionStrategy::Linear,
-          StagePartitionStrategy::Balanced}) {
+         {StagePartitionStrategy::Linear, StagePartitionStrategy::Balanced}) {
         if (text == stagePartitionStrategyName(strategy)) {
             out = strategy;
             return true;
@@ -170,8 +167,6 @@ residencyPolicyName(ResidencyPolicy policy)
     switch (policy) {
     case ResidencyPolicy::Lookahead:
         return "lookahead";
-    case ResidencyPolicy::Lru:
-        return "lru";
     case ResidencyPolicy::Lti:
         return "lti";
     case ResidencyPolicy::Fidelity:
@@ -184,8 +179,8 @@ bool
 parseResidencyPolicy(std::string_view text, ResidencyPolicy &out)
 {
     for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+          ResidencyPolicy::Fidelity}) {
         if (text == residencyPolicyName(policy)) {
             out = policy;
             return true;
@@ -215,13 +210,11 @@ strategyCatalog()
         {"residency",
          "--residency",
          {residencyPolicyName(ResidencyPolicy::Lookahead),
-          residencyPolicyName(ResidencyPolicy::Lru),
           residencyPolicyName(ResidencyPolicy::Lti),
           residencyPolicyName(ResidencyPolicy::Fidelity)}},
         {"stage-partition",
          "--stage-partition",
          {stagePartitionStrategyName(StagePartitionStrategy::Linear),
-          stagePartitionStrategyName(StagePartitionStrategy::Coloring),
           stagePartitionStrategyName(StagePartitionStrategy::Balanced)}},
         {"stage-order",
          "",

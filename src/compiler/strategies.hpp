@@ -57,28 +57,27 @@ enum class PlacementStrategy : std::uint8_t
 enum class StagePartitionStrategy : std::uint8_t
 {
     /**
-     * The paper's Sec. 4.1 edge coloring: materialize the gate-conflict
-     * graph (a clique per qubit), then greedily color it in descending
-     * degree order. O(k^2) edges for a qubit used in k gates, which
-     * dominates compile time on deep blocks.
+     * The paper's Sec. 4.1 greedy edge coloring, computed by a
+     * linear-time qubit scan (src/schedule/): each gate conflicts only
+     * through its two qubits, so tracking a per-qubit "stages already
+     * used" bitset reproduces the coloring of the materialized
+     * gate-conflict graph bit-for-bit without ever building it
+     * (stage_partition_test.cpp locks the identity against the graph
+     * coloring oracle, tests/reference_partition.*, across the Table 2
+     * suite).
+     *
+     * The value 0 belonged to the retired `coloring` strategy (now the
+     * test oracle); Linear keeps 1 and Balanced 2 because the job
+     * fingerprint hashes the enum value.
      */
-    Coloring,
-    /**
-     * The same greedy coloring computed by a linear-time qubit scan
-     * (src/schedule/): each gate conflicts only through its two qubits,
-     * so tracking a per-qubit "stages already used" bitset reproduces
-     * the Coloring stage assignment bit-for-bit without ever building
-     * the conflict graph (stage_partition_test.cpp locks the identity
-     * across the Table 2 suite).
-     */
-    Linear,
+    Linear = 1,
     /**
      * The Linear scan followed by a width-rebalancing sweep: gates
      * migrate from over-full stages to emptier qubit-disjoint stages,
      * keeping the stage count but shrinking the maximum stage width
      * (fewer simultaneous moves for the routers to schedule).
      */
-    Balanced,
+    Balanced = 2,
 };
 
 /** How stages of one commutable CZ block are ordered. */
@@ -151,13 +150,6 @@ enum class ResidencyPolicy : std::uint8_t
      */
     Lookahead,
     /**
-     * Least-recently-used: every idle-in-compute qubit stays resident;
-     * under compute-zone pressure the qubits whose last gate lies
-     * farthest in the past are evicted first. Residency persists
-     * across block boundaries.
-     */
-    Lru,
-    /**
      * Longest-time-to-interaction (Belady-style, the quicksilver
      * lru-vs-lti compute-slot-replacement shape): every idle qubit
      * stays resident; under pressure the qubit whose next use (from
@@ -165,8 +157,13 @@ enum class ResidencyPolicy : std::uint8_t
      * qubit with no known next use counting as farthest. Residency
      * persists across block boundaries, which is what finally buys
      * cross-block reuse on QSIM/QFT/BV.
+     *
+     * The value 1 belonged to the retired `lru` policy (identical to
+     * Lti whenever the compute zone has room for every idle atom, as
+     * on every machine MachineConfig::forQubits builds); Lti keeps 2
+     * and Fidelity 3 because the job fingerprint hashes the enum value.
      */
-    Lti,
+    Lti = 2,
     /**
      * Fidelity-weighted: hold iff the projected cost of staying
      * resident until the next use — excitation exposures plus idle
@@ -174,7 +171,7 @@ enum class ResidencyPolicy : std::uint8_t
      * four-transfer storage round trip. Adapts the window to the
      * machine instead of fixing a stage count; persists across blocks.
      */
-    Fidelity,
+    Fidelity = 3,
 };
 
 /** Short stable name, e.g. "row-major"; used by reports and the CLI. */

@@ -91,56 +91,6 @@ class PressurePolicy : public ResidencyPolicyImpl
 };
 
 /**
- * Least-recently-used: every idle atom stays resident; under pressure
- * the atom whose last gate lies farthest in the past goes first —
- * pure recency, blind to the future.
- */
-class LruPolicy final : public PressurePolicy
-{
-  public:
-    ResidencyPolicy kind() const override { return ResidencyPolicy::Lru; }
-
-    void
-    beginProgram(std::size_t num_qubits) override
-    {
-        // Recency must survive block boundaries; only (re)size on a
-        // new program (a router outlives exactly one circuit width).
-        if (last_use_.size() != num_qubits)
-            last_use_.assign(num_qubits, 0);
-    }
-
-    void
-    noteInteraction(QubitId qubit, std::size_t global_stage) override
-    {
-        // +1 keeps 0 free for "never interacted" (always oldest).
-        last_use_[qubit] = global_stage + 1;
-    }
-
-  protected:
-    void
-    wantsHolds(const ResidencyQuery &query, std::vector<QubitId> &wanted,
-               std::vector<QubitId> &) override
-    {
-        wanted.assign(query.candidates.begin(), query.candidates.end());
-    }
-
-    void
-    rankForEviction(const ResidencyQuery &, std::vector<QubitId> &wanted)
-        override
-    {
-        std::sort(wanted.begin(), wanted.end(),
-                  [this](QubitId a, QubitId b) {
-                      if (last_use_[a] != last_use_[b])
-                          return last_use_[a] < last_use_[b];
-                      return a < b;
-                  });
-    }
-
-  private:
-    std::vector<std::size_t> last_use_;
-};
-
-/**
  * Longest-time-to-interaction (Belady over the known next-use index):
  * every idle atom stays resident; under pressure the atom whose next
  * use lies farthest in the future goes first, an unknown next use
@@ -184,6 +134,45 @@ class LtiPolicy final : public PressurePolicy
 };
 
 /**
+ * The two sides of the residency trade on the Eq. (1) log scale, from
+ * the hardware parameters alone.
+ */
+struct ResidencyCosts
+{
+    /**
+     * One resident stage: the excitation exposure of the intervening
+     * pulse plus dephasing for its duration. (Movement time between
+     * pulses is unknown at decision time and hits both sides; the
+     * pulse term is the stable lower bound.)
+     */
+    double stage = 0.0;
+    /**
+     * A full storage round trip: two transfers out + two back, plus the
+     * transit dephasing of the transfers and two shuttle legs across
+     * the inter-zone gap.
+     */
+    double round_trip = 0.0;
+};
+
+ResidencyCosts
+residencyCosts(const HardwareParams &params)
+{
+    const double t2_us = params.t2.micros();
+    const auto dephasing = [t2_us](double idle_us) {
+        return t2_us > 0.0 ? idle_us / t2_us : 0.0;
+    };
+    const double shuttle_us =
+        params
+            .moveDuration(Distance::microns(params.zone_gap.microns() +
+                                            params.site_pitch.microns()))
+            .micros();
+    return {-std::log(params.f_excitation) + dephasing(params.t_cz.micros()),
+            4.0 * -std::log(params.f_transfer) +
+                dephasing(4.0 * params.t_transfer.micros() +
+                          2.0 * shuttle_us)};
+}
+
+/**
  * Fidelity-weighted replacement: price both sides of the trade with
  * the Eq. (1) factors and hold only when staying resident is cheaper
  * than the storage round trip it avoids. See fidelityBreakEvenStages()
@@ -197,32 +186,11 @@ class FidelityPolicy final : public PressurePolicy
 {
   public:
     explicit FidelityPolicy(const HardwareParams &params)
-    {
-        const double t2_us = params.t2.micros();
-        const auto dephasing = [t2_us](double idle_us) {
-            return t2_us > 0.0 ? idle_us / t2_us : 0.0;
-        };
-        // Cost of one resident stage: the excitation exposure of the
-        // intervening pulse plus dephasing for its duration. (Movement
-        // time between pulses is unknown at decision time and hits
-        // both sides; the pulse term is the stable lower bound.)
-        stage_cost_ = -std::log(params.f_excitation) +
-                      dephasing(params.t_cz.micros());
-        // A full round trip: two transfers out + two back, plus the
-        // transit dephasing of the transfers and two shuttle legs
-        // across the inter-zone gap.
-        const double shuttle_us =
-            params
-                .moveDuration(Distance::microns(
-                    params.zone_gap.microns() + params.site_pitch.microns()))
-                .micros();
-        round_trip_cost_ =
-            4.0 * -std::log(params.f_transfer) +
-            dephasing(4.0 * params.t_transfer.micros() + 2.0 * shuttle_us);
-        // The final-block virtual reuse event only ever saves the park
-        // half of the trip (nothing retrieves the atom afterwards).
-        park_cost_ = round_trip_cost_ / 2.0;
-    }
+        : costs_(residencyCosts(params)),
+          // The final-block virtual reuse event only ever saves the park
+          // half of the trip (nothing retrieves the atom afterwards).
+          park_cost_(costs_.round_trip / 2.0)
+    {}
 
     ResidencyPolicy kind() const override
     {
@@ -272,7 +240,7 @@ class FidelityPolicy final : public PressurePolicy
         double savings;
         if (next != kNoNextUse) {
             distance = next - query.stage;
-            savings = round_trip_cost_;
+            savings = costs_.round_trip;
         } else if (query.analysis.finalBlock()) {
             // Virtual reuse event: exposures until program end buy
             // only the avoided park.
@@ -284,14 +252,13 @@ class FidelityPolicy final : public PressurePolicy
             // single-stage blocks (QSIM-style CX brackets) and prices
             // longer idles out naturally.
             distance = query.analysis.numStages() - query.stage;
-            savings = round_trip_cost_;
+            savings = costs_.round_trip;
         }
-        return savings - static_cast<double>(distance) * stage_cost_;
+        return savings - static_cast<double>(distance) * costs_.stage;
     }
 
-    double stage_cost_ = 0.0;
-    double round_trip_cost_ = 0.0;
-    double park_cost_ = 0.0;
+    ResidencyCosts costs_;
+    double park_cost_;
     std::vector<double> margin_of_;
 };
 
@@ -300,25 +267,9 @@ class FidelityPolicy final : public PressurePolicy
 double
 fidelityBreakEvenStages(const HardwareParams &params)
 {
-    // Same formulas as FidelityPolicy's constructor, collapsed to the
-    // one number docs and tests cite.
-    const double t2_us = params.t2.micros();
-    const double stage_cost =
-        -std::log(params.f_excitation) +
-        (t2_us > 0.0 ? params.t_cz.micros() / t2_us : 0.0);
-    const double shuttle_us =
-        params
-            .moveDuration(Distance::microns(params.zone_gap.microns() +
-                                            params.site_pitch.microns()))
-            .micros();
-    const double round_trip =
-        4.0 * -std::log(params.f_transfer) +
-        (t2_us > 0.0
-             ? (4.0 * params.t_transfer.micros() + 2.0 * shuttle_us) / t2_us
-             : 0.0);
-    return stage_cost > 0.0
-               ? round_trip / stage_cost
-               : std::numeric_limits<double>::infinity();
+    const ResidencyCosts costs = residencyCosts(params);
+    return costs.stage > 0.0 ? costs.round_trip / costs.stage
+                             : std::numeric_limits<double>::infinity();
 }
 
 std::unique_ptr<ResidencyPolicyImpl>
@@ -328,8 +279,6 @@ makeResidencyPolicy(ResidencyPolicy policy, std::size_t lookahead,
     switch (policy) {
     case ResidencyPolicy::Lookahead:
         return std::make_unique<LookaheadPolicy>(lookahead);
-    case ResidencyPolicy::Lru:
-        return std::make_unique<LruPolicy>();
     case ResidencyPolicy::Lti:
         return std::make_unique<LtiPolicy>();
     case ResidencyPolicy::Fidelity:

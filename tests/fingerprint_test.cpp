@@ -143,16 +143,9 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
     refine.placement_refine_iters += 1;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(refine));
 
-    CompilerOptions coloring_partition = base;
-    coloring_partition.stage_partition = StagePartitionStrategy::Coloring;
-    EXPECT_NE(fingerprintOptions(base),
-              fingerprintOptions(coloring_partition));
-
     CompilerOptions balanced_partition = base;
     balanced_partition.stage_partition = StagePartitionStrategy::Balanced;
     EXPECT_NE(fingerprintOptions(base),
-              fingerprintOptions(balanced_partition));
-    EXPECT_NE(fingerprintOptions(coloring_partition),
               fingerprintOptions(balanced_partition));
 
     CompilerOptions stage_order = base;
@@ -171,14 +164,9 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
     lookahead.reuse_lookahead += 1;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lookahead));
 
-    CompilerOptions lru = base;
-    lru.residency = ResidencyPolicy::Lru;
-    EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lru));
-
     CompilerOptions lti = base;
     lti.residency = ResidencyPolicy::Lti;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lti));
-    EXPECT_NE(fingerprintOptions(lru), fingerprintOptions(lti));
 
     CompilerOptions fidelity = base;
     fidelity.residency = ResidencyPolicy::Fidelity;
@@ -294,10 +282,12 @@ TEST(FingerprintTest, ScheduleNeutralOptionsShareTheSeedFingerprint)
 }
 
 /**
- * Golden values: the routing enum value is hashed, so retiring a
+ * Golden values: the strategy enum values are hashed, so retiring a
  * strategy must not renumber the survivors. Continuous and windowed
  * jobs keep the fingerprints (cache addresses and derived seeds) they
- * had while `fast` still existed.
+ * had while `fast` still existed; balanced partitions and lti/fidelity
+ * residency keep the ones they had while `coloring` and `lru` still
+ * existed.
  */
 TEST(FingerprintTest, RoutingFingerprintsArePinned)
 {
@@ -314,6 +304,19 @@ TEST(FingerprintTest, RoutingFingerprintsArePinned)
               0x0c64a26b63cd9af6ULL);
     EXPECT_EQ(seedFingerprintJob(circuit, config, windowed),
               0x0c64a26b63cd9af6ULL);
+
+    CompilerOptions balanced = continuous;
+    balanced.stage_partition = StagePartitionStrategy::Balanced;
+    EXPECT_EQ(fingerprintJob(circuit, config, balanced),
+              0x6b09f2ac274a8c91ULL);
+    CompilerOptions lti = continuous;
+    lti.routing = RoutingStrategy::Reuse;
+    lti.residency = ResidencyPolicy::Lti;
+    EXPECT_EQ(fingerprintJob(circuit, config, lti), 0x3968b1312401ad5bULL);
+    CompilerOptions fidelity = lti;
+    fidelity.residency = ResidencyPolicy::Fidelity;
+    EXPECT_EQ(fingerprintJob(circuit, config, fidelity),
+              0x096279b3017d9fe5ULL);
 }
 
 TEST(FingerprintTest, DerivedSeedsAreDeterministicAndDecorrelated)

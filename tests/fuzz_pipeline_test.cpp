@@ -252,16 +252,15 @@ makeCases()
         PlacementStrategy::RoutingAware,
     };
     constexpr StagePartitionStrategy kPartitions[] = {
-        StagePartitionStrategy::Coloring,
         StagePartitionStrategy::Linear,
         StagePartitionStrategy::Balanced,
     };
     // The residency axis rotates through every policy across the reuse
-    // cases (3 per group, 4-cycle → each policy meets every window size,
-    // qubit count, and zone configuration somewhere in the sweep).
+    // cases (3 per group, 3-cycle offset per group → each policy meets
+    // every window size, qubit count, and zone configuration somewhere
+    // in the sweep).
     constexpr ResidencyPolicy kResidencies[] = {
         ResidencyPolicy::Lookahead,
-        ResidencyPolicy::Lru,
         ResidencyPolicy::Lti,
         ResidencyPolicy::Fidelity,
     };
@@ -271,13 +270,13 @@ makeCases()
     // Each (n, storage, aods) group appends a fixed case count, so a
     // plain size-mod rotation could pin a routing config to one fixed
     // placement forever; the per-group offset de-aligns the two cycles.
-    // The 3-cycle stage-partition rotation is coprime to the group size,
-    // so it de-aligns from the routing pattern on its own.
+    // The 2-cycle stage-partition rotation divides the group size, so it
+    // takes the same offset.
     const auto next_placement = [&] {
         return kPlacements[(cases.size() + group) % std::size(kPlacements)];
     };
     const auto next_partition = [&] {
-        return kPartitions[cases.size() % std::size(kPartitions)];
+        return kPartitions[(cases.size() + group) % std::size(kPartitions)];
     };
     for (const std::size_t n : {5u, 9u, 16u, 25u, 40u}) {
         for (const bool storage : {false, true}) {

@@ -1,13 +1,21 @@
-/** @file Unit and property tests for the graph library. */
+/** @file Unit and property tests for the graph library, and for the
+ * greedy-coloring helpers of the stage-partition oracle
+ * (tests/reference_partition.*) that color such graphs. */
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/graph.hpp"
 #include "common/rng.hpp"
+#include "reference_partition.hpp"
 
 namespace powermove {
 namespace {
+
+using reference::greedyColoring;
+using reference::isProperColoring;
+using reference::numColors;
+using reference::verticesByDegreeDesc;
 
 TEST(GraphTest, EmptyGraph)
 {

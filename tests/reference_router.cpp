@@ -334,11 +334,10 @@ compileSchedule(const Machine &machine, const Circuit &circuit,
                         Rng(options.seed),
                         PassProfiler(false)};
 
-    const PlacementPass placement(options.placement,
-                                  options.placement_refine_iters);
-    const StagePartitionPass partition(options.stage_partition);
-    const StageOrderPass stage_order(options.stage_order);
-    const CollMoveOrderPass coll_move_order(options.coll_move_order);
+    const PlacementPass placement;
+    const StagePartitionPass partition;
+    const StageOrderPass stage_order;
+    const CollMoveOrderPass coll_move_order;
     const AodBatchPass aod_batch;
 
     const RouterOptions router_options{options.use_storage, options.seed};

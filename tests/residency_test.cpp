@@ -5,7 +5,7 @@
  * tests of cross-block persistence and the residency lifetime
  * invariants (randomized across every policy); and pipeline-level tests
  * of the `--residency` axis — accounting invariants over the Table 2
- * families under all four policies, plus the cross-block reuse wins the
+ * families under all three policies, plus the cross-block reuse wins the
  * per-block window policy cannot see on QSIM/QFT.
  */
 
@@ -38,12 +38,11 @@ stageOf(std::initializer_list<CzGate> gates)
 std::pair<std::vector<QubitId>, std::vector<QubitId>>
 partitionOnce(ResidencyPolicyImpl &policy, const ReuseAnalysis &analysis,
               std::vector<QubitId> candidates, std::size_t stage,
-              std::size_t lookahead, std::size_t capacity)
+              std::size_t capacity)
 {
     std::vector<QubitId> holds;
     std::vector<QubitId> releases;
-    const ResidencyQuery query{candidates, stage, stage, analysis,
-                               lookahead,  capacity};
+    const ResidencyQuery query{candidates, stage, analysis, capacity};
     policy.partition(query, holds, releases);
     EXPECT_EQ(holds.size() + releases.size(), candidates.size());
     std::sort(holds.begin(), holds.end());
@@ -79,9 +78,9 @@ compileWith(const Machine &machine, const Circuit &circuit,
 
 TEST(ResidencyNameTest, NamesRoundTripAndCatalogCoversResidency)
 {
-    for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+    for (const auto policy : {ResidencyPolicy::Lookahead,
+                              ResidencyPolicy::Lti,
+                              ResidencyPolicy::Fidelity}) {
         ResidencyPolicy parsed{};
         EXPECT_TRUE(
             parseResidencyPolicy(residencyPolicyName(policy), parsed));
@@ -89,6 +88,9 @@ TEST(ResidencyNameTest, NamesRoundTripAndCatalogCoversResidency)
     }
     ResidencyPolicy untouched = ResidencyPolicy::Lti;
     EXPECT_FALSE(parseResidencyPolicy("bogus", untouched));
+    // `lru` was retired: it only differs from `lti` under compute-zone
+    // pressure, which no machine built by MachineConfig::forQubits has.
+    EXPECT_FALSE(parseResidencyPolicy("lru", untouched));
     EXPECT_EQ(untouched, ResidencyPolicy::Lti);
 
     bool saw_residency = false;
@@ -97,11 +99,10 @@ TEST(ResidencyNameTest, NamesRoundTripAndCatalogCoversResidency)
             continue;
         saw_residency = true;
         EXPECT_EQ(entry.flag, "--residency");
-        ASSERT_EQ(entry.values.size(), 4u);
+        ASSERT_EQ(entry.values.size(), 3u);
         EXPECT_EQ(entry.values[0], "lookahead"); // default first
-        EXPECT_EQ(entry.values[1], "lru");
-        EXPECT_EQ(entry.values[2], "lti");
-        EXPECT_EQ(entry.values[3], "fidelity");
+        EXPECT_EQ(entry.values[1], "lti");
+        EXPECT_EQ(entry.values[2], "fidelity");
     }
     EXPECT_TRUE(saw_residency);
 }
@@ -129,7 +130,7 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
     // Stage 1: qubits 0 and 1 idle, next use at stage 3 (distance 2).
     // A window of 1 parks them both...
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1}, 1, 1, 100);
+        partitionOnce(*policy, analysis, {0, 1}, 1, 100);
     EXPECT_TRUE(holds.empty());
     EXPECT_EQ(releases, (std::vector<QubitId>{0, 1}));
 
@@ -138,49 +139,9 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
     const auto wide = makeResidencyPolicy(ResidencyPolicy::Lookahead, 2,
                                           defaultParams());
     std::tie(holds, releases) =
-        partitionOnce(*wide, analysis, {0, 1}, 1, 2, 0);
+        partitionOnce(*wide, analysis, {0, 1}, 1, 0);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_TRUE(releases.empty());
-}
-
-TEST(ResidencyPolicyTest, LruEvictsTheLeastRecentlyUsedUnderPressure)
-{
-    ReuseAnalysis analysis;
-    analysis.beginBlock({stageOf({{0, 1}})}, 4);
-    const auto policy =
-        makeResidencyPolicy(ResidencyPolicy::Lru, 4, defaultParams());
-    EXPECT_TRUE(policy->persistsAcrossBlocks());
-    policy->beginProgram(4);
-    policy->noteInteraction(0, 0);
-    policy->noteInteraction(1, 1);
-    policy->noteInteraction(2, 2);
-
-    // No pressure: everything stays resident.
-    auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 3);
-    EXPECT_EQ(holds, (std::vector<QubitId>{0, 1, 2}));
-
-    // Capacity 2: the stalest stamp (qubit 0) is evicted first.
-    std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 2);
-    EXPECT_EQ(holds, (std::vector<QubitId>{1, 2}));
-    EXPECT_EQ(releases, (std::vector<QubitId>{0}));
-
-    // Zero capacity: full flush.
-    std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 0);
-    EXPECT_TRUE(holds.empty());
-    EXPECT_EQ(releases, (std::vector<QubitId>{0, 1, 2}));
-
-    // Never-interacted qubits are the oldest of all, and ties break
-    // toward the lower qubit id.
-    const auto fresh =
-        makeResidencyPolicy(ResidencyPolicy::Lru, 4, defaultParams());
-    fresh->beginProgram(4);
-    std::tie(holds, releases) =
-        partitionOnce(*fresh, analysis, {1, 2, 3}, 0, 4, 1);
-    EXPECT_EQ(holds, (std::vector<QubitId>{3}));
-    EXPECT_EQ(releases, (std::vector<QubitId>{1, 2}));
 }
 
 TEST(ResidencyPolicyTest, LtiEvictsTheFarthestNextUse)
@@ -196,12 +157,12 @@ TEST(ResidencyPolicyTest, LtiEvictsTheFarthestNextUse)
     EXPECT_TRUE(policy->persistsAcrossBlocks());
 
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 2);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 2);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_EQ(releases, (std::vector<QubitId>{2}));
 
     std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 1);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 1);
     EXPECT_EQ(holds, (std::vector<QubitId>{1})); // soonest next use
     EXPECT_EQ(releases, (std::vector<QubitId>{0, 2}));
 }
@@ -227,7 +188,7 @@ TEST(ResidencyPolicyTest, FidelityHoldsOnlyWithinBreakEven)
                          stageOf({{0, 4}}), stageOf({{1, 4}})},
                         6);
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 100);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 100);
     EXPECT_EQ(holds, (std::vector<QubitId>{0}));
     EXPECT_EQ(releases, (std::vector<QubitId>{1, 2}));
 }
@@ -302,9 +263,9 @@ randomStage(Rng &rng, std::size_t num_qubits)
 
 TEST(ResidencyRouterTest, LifetimeInvariantsHoldAcrossRandomPrograms)
 {
-    for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+    for (const auto policy : {ResidencyPolicy::Lookahead,
+                              ResidencyPolicy::Lti,
+                              ResidencyPolicy::Fidelity}) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             for (const std::size_t n : {4u, 9u}) {
                 Rng rng(seed * 1000 + n);
@@ -367,8 +328,7 @@ TEST(ResidencyPipelineTest, DefaultIsLookaheadAndEveryPolicyIsDeterministic)
               scheduleToJson(explicit_lookahead.schedule));
 
     for (const auto policy :
-         {ResidencyPolicy::Lru, ResidencyPolicy::Lti,
-          ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
         const auto a = compileWith(machine, circuit, policy);
         const auto b = compileWith(machine, circuit, policy);
         EXPECT_EQ(scheduleToJson(a.schedule), scheduleToJson(b.schedule))
@@ -394,8 +354,8 @@ TEST(ResidencyPipelineTest, AccountingInvariantsHoldForEveryPolicy)
         const Machine machine(spec->machine_config);
         const Circuit circuit = spec->build();
         for (const auto policy :
-             {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-              ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+             {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+              ResidencyPolicy::Fidelity}) {
             const auto result = compileWith(machine, circuit, policy);
             const std::string tag = spec->name + std::string("/") +
                                     std::string(residencyPolicyName(policy));

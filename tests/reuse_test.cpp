@@ -383,8 +383,10 @@ TEST(ReuseStrategyNameTest, NamesRoundTripAndCatalogCoversRouting)
     EXPECT_EQ(untouched, RoutingStrategy::Reuse);
 
     bool saw_routing = false;
+    std::size_t num_values = 0;
     for (const StrategyCatalogEntry &entry : strategyCatalog()) {
         EXPECT_FALSE(entry.values.empty());
+        num_values += entry.values.size();
         if (entry.dimension == "routing") {
             saw_routing = true;
             EXPECT_EQ(entry.flag, "--routing");
@@ -395,6 +397,9 @@ TEST(ReuseStrategyNameTest, NamesRoundTripAndCatalogCoversRouting)
         }
     }
     EXPECT_TRUE(saw_routing);
+    // Every settable value across the seven dimensions; retiring one
+    // (as `fast`, `coloring` and `lru` were) moves this count.
+    EXPECT_EQ(num_values, 18u);
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 /** @file Tests for Algorithm 1 (edge-coloring stage partition).
  *
- * Covers the three StagePartitionStrategy implementations: the paper's
- * graph coloring, the graph-free linear scan (locked bit-identical to
- * coloring, differentially over the Table 2 suite plus depth-2 VQE),
- * and the width-balanced variant (same stage count, qubit-disjoint,
- * coverage-complete), plus randomized-block partition properties.
+ * Covers both StagePartitionStrategy implementations — the graph-free
+ * linear scan (locked bit-identical to the paper's graph coloring, the
+ * oracle in tests/reference_partition.*, differentially over the Table
+ * 2 suite plus depth-2 VQE) and the width-balanced variant (same stage
+ * count, qubit-disjoint, coverage-complete) — plus the oracle's
+ * conflict graph, the pass's strategy selection, and randomized-block
+ * partition properties.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "compiler/pipeline.hpp"
+#include "reference_partition.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/qaoa.hpp"
 #include "workloads/qft.hpp"
@@ -47,7 +51,7 @@ sortedGates(const std::vector<Stage> &stages)
 TEST(InteractionGraphTest, EdgesJoinGatesSharingQubits)
 {
     const auto block = blockOf({{0, 1}, {1, 2}, {3, 4}});
-    const Graph g = buildInteractionGraph(block, 5);
+    const Graph g = reference::buildInteractionGraph(block, 5);
     EXPECT_EQ(g.numVertices(), 3u);
     EXPECT_TRUE(g.hasEdge(0, 1));  // share qubit 1
     EXPECT_FALSE(g.hasEdge(0, 2));
@@ -57,7 +61,7 @@ TEST(InteractionGraphTest, EdgesJoinGatesSharingQubits)
 TEST(InteractionGraphTest, RepeatedPairIsSingleConflict)
 {
     const auto block = blockOf({{0, 1}, {0, 1}});
-    const Graph g = buildInteractionGraph(block, 2);
+    const Graph g = reference::buildInteractionGraph(block, 2);
     EXPECT_EQ(g.numEdges(), 1u);
 }
 
@@ -75,7 +79,7 @@ TEST(InteractionGraphTest, BothQubitsSharedPairsAreDeduplicated)
     // Three copies of {0,1} (pairwise conflicts via both qubits) plus
     // one {1,2} that conflicts each copy through qubit 1 only.
     const auto block = blockOf({{0, 1}, {0, 1}, {0, 1}, {1, 2}});
-    const Graph g = buildInteractionGraph(block, 3);
+    const Graph g = reference::buildInteractionGraph(block, 3);
     EXPECT_EQ(g.numEdges(), 6u); // triangle (3) + one edge to each copy
 
     auto edges = g.edges();
@@ -234,10 +238,11 @@ differentialCircuits()
 }
 
 /**
- * The tentpole identity: the graph-free linear scan must reproduce the
- * edge-coloring stage assignment bit-for-bit — same greedy order, same
- * colors, same gate order within every stage — on every block of every
- * Table 2 entry plus depth-2 VQE.
+ * The identity the production partitioner rests on: the graph-free
+ * linear scan must reproduce the oracle's edge-coloring stage
+ * assignment bit-for-bit — same greedy order, same colors, same gate
+ * order within every stage — on every block of every Table 2 entry
+ * plus depth-2 VQE.
  */
 TEST(StagePartitionDifferentialTest, LinearIsBitIdenticalToColoring)
 {
@@ -245,9 +250,9 @@ TEST(StagePartitionDifferentialTest, LinearIsBitIdenticalToColoring)
         std::size_t index = 0;
         for (const CzBlock *block : circuit.blocks()) {
             const auto coloring =
-                partitionIntoStages(*block, circuit.numQubits());
+                reference::partitionIntoStages(*block, circuit.numQubits());
             const auto linear =
-                partitionIntoStagesLinear(*block, circuit.numQubits());
+                partitionIntoStages(*block, circuit.numQubits());
             EXPECT_TRUE(identicalStages(coloring, linear))
                 << name << " block " << index;
             ++index;
@@ -267,7 +272,7 @@ TEST(StagePartitionDifferentialTest, BalancedKeepsCountCoverageDisjointness)
         std::size_t index = 0;
         for (const CzBlock *block : circuit.blocks()) {
             const auto coloring =
-                partitionIntoStages(*block, circuit.numQubits());
+                reference::partitionIntoStages(*block, circuit.numQubits());
             const auto balanced =
                 partitionIntoStagesBalanced(*block, circuit.numQubits());
             EXPECT_EQ(balanced.size(), coloring.size())
@@ -287,18 +292,63 @@ TEST(StagePartitionDifferentialTest, BalancedKeepsCountCoverageDisjointness)
     }
 }
 
-TEST(StagePartitionDifferentialTest, DispatchSelectsTheStrategy)
+TEST(StagePartitionPassTest, OptionSelectsThePartitioner)
 {
-    const auto block = blockOf({{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}});
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Coloring, block, 4),
-        partitionIntoStages(block, 4)));
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Linear, block, 4),
-        partitionIntoStagesLinear(block, 4)));
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Balanced, block, 4),
-        partitionIntoStagesBalanced(block, 4)));
+    // A star on qubit 0 beside two disjoint pairs: the scan packs the
+    // pairs into the first stage (widths 3, 1), the rebalance evens
+    // them out (2, 2), so the two strategies are told apart.
+    const auto block = blockOf({{0, 1}, {0, 2}, {3, 4}, {5, 6}});
+    const auto linear = partitionIntoStages(block, 7);
+    const auto balanced = partitionIntoStagesBalanced(block, 7);
+    ASSERT_FALSE(identicalStages(linear, balanced));
+
+    const Machine machine(MachineConfig::forQubits(7));
+    const Circuit circuit(7);
+    for (const auto strategy : {StagePartitionStrategy::Linear,
+                                StagePartitionStrategy::Balanced}) {
+        CompilerOptions options;
+        options.stage_partition = strategy;
+        PipelineContext ctx{machine,
+                            options,
+                            circuit,
+                            Layout(machine, 7),
+                            std::nullopt,
+                            Rng(options.seed),
+                            PassProfiler(false)};
+        EXPECT_TRUE(identicalStages(
+            StagePartitionPass{}.run(ctx, block),
+            strategy == StagePartitionStrategy::Linear ? linear : balanced))
+            << stagePartitionStrategyName(strategy);
+    }
+}
+
+TEST(StagePartitionNameTest, NamesRoundTripAndColoringIsRetired)
+{
+    for (const auto strategy : {StagePartitionStrategy::Linear,
+                                StagePartitionStrategy::Balanced}) {
+        StagePartitionStrategy parsed{};
+        EXPECT_TRUE(parseStagePartitionStrategy(
+            stagePartitionStrategyName(strategy), parsed));
+        EXPECT_EQ(parsed, strategy);
+    }
+    // `coloring` was retired when the scan became the only production
+    // partitioner; the graph coloring lives on as the test oracle.
+    StagePartitionStrategy untouched = StagePartitionStrategy::Balanced;
+    EXPECT_FALSE(parseStagePartitionStrategy("coloring", untouched));
+    EXPECT_FALSE(parseStagePartitionStrategy("bogus", untouched));
+    EXPECT_EQ(untouched, StagePartitionStrategy::Balanced);
+
+    bool saw_partition = false;
+    for (const StrategyCatalogEntry &entry : strategyCatalog()) {
+        if (entry.dimension != "stage-partition")
+            continue;
+        saw_partition = true;
+        EXPECT_EQ(entry.flag, "--stage-partition");
+        ASSERT_EQ(entry.values.size(), 2u);
+        EXPECT_EQ(entry.values[0], "linear"); // default first
+        EXPECT_EQ(entry.values[1], "balanced");
+    }
+    EXPECT_TRUE(saw_partition);
 }
 
 // -------------------------------------------- randomized-block properties
@@ -318,10 +368,17 @@ randomBlock(std::size_t num_qubits, std::size_t num_gates, std::uint64_t seed)
     return block;
 }
 
-constexpr StagePartitionStrategy kAllStrategies[] = {
-    StagePartitionStrategy::Coloring,
-    StagePartitionStrategy::Linear,
-    StagePartitionStrategy::Balanced,
+/** The production partitioners and the oracle, by name. */
+struct Partitioner
+{
+    const char *name;
+    std::vector<Stage> (*partition)(const CzBlock &, std::size_t);
+};
+
+constexpr Partitioner kAllPartitioners[] = {
+    {"coloring", reference::partitionIntoStages},
+    {"linear", partitionIntoStages},
+    {"balanced", partitionIntoStagesBalanced},
 };
 
 struct RandomBlockCase
@@ -348,14 +405,15 @@ TEST_P(RandomBlockProperty, PartitionsValidlyAndDeterministically)
     const CzBlock block =
         randomBlock(param.num_qubits, param.num_gates, param.seed);
     const std::size_t degree_bound =
-        buildInteractionGraph(block, param.num_qubits).maxDegree() + 1;
+        reference::buildInteractionGraph(block, param.num_qubits)
+            .maxDegree() +
+        1;
 
     auto expected = block.gates;
     std::sort(expected.begin(), expected.end());
 
-    for (const StagePartitionStrategy strategy : kAllStrategies) {
-        const auto stages =
-            partitionIntoStagesBy(strategy, block, param.num_qubits);
+    for (const Partitioner &partitioner : kAllPartitioners) {
+        const auto stages = partitioner.partition(block, param.num_qubits);
         for (const auto &stage : stages) {
             EXPECT_TRUE(stage.qubitsDisjoint());
             EXPECT_FALSE(stage.gates.empty());
@@ -372,11 +430,9 @@ TEST_P(RandomBlockProperty, PartitionsValidlyAndDeterministically)
 
         EXPECT_LE(stages.size(), degree_bound);
 
-        const auto again =
-            partitionIntoStagesBy(strategy, block, param.num_qubits);
+        const auto again = partitioner.partition(block, param.num_qubits);
         EXPECT_TRUE(identicalStages(stages, again))
-            << "nondeterministic partition, strategy "
-            << stagePartitionStrategyName(strategy);
+            << "nondeterministic partition, " << partitioner.name;
     }
 }
 

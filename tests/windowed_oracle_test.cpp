@@ -38,8 +38,7 @@ pipelineStages(const Circuit &circuit)
     std::vector<Stage> stages;
     for (const CzBlock *block : circuit.blocks()) {
         auto ordered = orderStages(
-            partitionIntoStagesBy(StagePartitionStrategy::Linear, *block,
-                                  circuit.numQubits()),
+            partitionIntoStages(*block, circuit.numQubits()),
             StageOrderOptions{});
         stages.insert(stages.end(), ordered.begin(), ordered.end());
     }

@@ -38,16 +38,15 @@
  *   --placement-refine-iters N  routing-aware local-search budget in
  *                  sweeps (default 32; 0 = greedy layout only)
  *   --stage-partition S  CZ-block stage partition: linear (default, the
- *                  bit-identical graph-free scan), coloring (the
- *                  paper's Sec. 4.1 edge coloring), or balanced
- *                  (linear + stage-width rebalance)
+ *                  paper's Sec. 4.1 edge coloring by a graph-free scan)
+ *                  or balanced (linear + stage-width rebalance)
  *   --routing R    stage-transition routing: continuous (default, the
  *                  paper's Sec. 5 router), reuse (gate-aware atom
  *                  reuse, src/reuse/), or windowed (best-of-N gate
  *                  orderings, src/route/windowed_router.*)
  *   --residency P  reuse residency (cache replacement) policy: lookahead
- *                  (default), lru, lti, or fidelity (--routing reuse
- *                  only; src/reuse/policy.*)
+ *                  (default), lti, or fidelity (--routing reuse only;
+ *                  src/reuse/policy.*)
  *   --reuse-lookahead N  reuse hold window in stages (default 4)
  *   --routing-window N  windowed-routing candidate orderings per stage
  *                  transition (default 8; --routing windowed only)
@@ -93,6 +92,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/fuse.hpp"
@@ -188,14 +188,14 @@ printUsage(std::FILE *stream)
         "                 0 = greedy only)\n"
         "  --stage-partition S\n"
         "                 CZ-block stage partition: linear (default,\n"
-        "                 bit-identical graph-free scan), coloring (the\n"
-        "                 paper's edge coloring), or balanced (linear +\n"
-        "                 stage-width rebalance)\n"
+        "                 the paper's edge coloring by a graph-free\n"
+        "                 scan) or balanced (linear + stage-width\n"
+        "                 rebalance)\n"
         "  --routing R    stage-transition routing: continuous (default),\n"
         "                 reuse (gate-aware atom reuse), or windowed\n"
         "                 (best-of-N gate orderings)\n"
         "  --residency P  reuse residency (cache replacement) policy:\n"
-        "                 lookahead (default), lru, lti, or fidelity\n"
+        "                 lookahead (default), lti, or fidelity\n"
         "                 (--routing reuse only)\n"
         "  --reuse-lookahead N\n"
         "                 reuse hold window in stages (default 4)\n"
@@ -254,6 +254,29 @@ printStrategies()
         std::printf("  %-16s %-18s %s\n", dimension.c_str(), flag.c_str(),
                     values.c_str());
     }
+}
+
+/**
+ * The catalog's value names for the dimension @p flag selects, as
+ * "a, b, or c" ("a or b" for two), for unknown-value errors.
+ */
+std::string
+expectedValues(std::string_view flag)
+{
+    std::string list;
+    for (const StrategyCatalogEntry &entry : strategyCatalog()) {
+        if (entry.flag != flag)
+            continue;
+        const std::size_t n = entry.values.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0)
+                list += n > 2 ? ", " : " ";
+            if (i > 0 && i + 1 == n)
+                list += "or ";
+            list += entry.values[i];
+        }
+    }
+    return list;
 }
 
 /**
@@ -336,6 +359,20 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             return false;
         }
         return true;
+    };
+
+    // A strategy flag's value must parse as one of the catalog's values
+    // for that flag; the error lists exactly those.
+    const auto strategy = [&](const char *flag, const char *what,
+                              auto parse, auto &out, std::size_t &i) -> bool {
+        std::string text;
+        if (!take_value(flag, i, text))
+            return false;
+        if (parse(text, out))
+            return true;
+        std::fprintf(stderr, "powermove: unknown %s '%s' (expected %s)\n",
+                     what, text.c_str(), expectedValues(flag).c_str());
+        return false;
     };
 
     for (std::size_t i = 0; i < count; ++i) {
@@ -430,62 +467,32 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             }
             cli.compiler.stage_order_alpha = alpha;
         } else if (arg == "--placement") {
-            if (!take_value("--placement", i, text))
+            if (!strategy("--placement", "placement", parsePlacementStrategy,
+                          cli.compiler.placement, i))
                 return false;
-            if (!parsePlacementStrategy(text, cli.compiler.placement)) {
-                std::fprintf(stderr,
-                             "powermove: unknown placement '%s' (expected "
-                             "row-major, column-interleaved, "
-                             "usage-frequency, or routing-aware)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--placement-refine-iters") {
             if (!numeric("--placement-refine-iters", i, value))
                 return false;
             cli.compiler.placement_refine_iters =
                 static_cast<std::uint32_t>(value);
         } else if (arg == "--stage-partition") {
-            if (!take_value("--stage-partition", i, text))
+            if (!strategy("--stage-partition", "stage partition",
+                          parseStagePartitionStrategy,
+                          cli.compiler.stage_partition, i))
                 return false;
-            if (!parseStagePartitionStrategy(text,
-                                             cli.compiler.stage_partition)) {
-                std::fprintf(stderr,
-                             "powermove: unknown stage partition '%s' "
-                             "(expected coloring, linear, or balanced)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--routing") {
-            if (!take_value("--routing", i, text))
+            if (!strategy("--routing", "routing", parseRoutingStrategy,
+                          cli.compiler.routing, i))
                 return false;
-            if (!parseRoutingStrategy(text, cli.compiler.routing)) {
-                std::fprintf(stderr,
-                             "powermove: unknown routing '%s' (expected "
-                             "continuous, reuse, or windowed)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--residency") {
-            if (!take_value("--residency", i, text))
+            if (!strategy("--residency", "residency policy",
+                          parseResidencyPolicy, cli.compiler.residency, i))
                 return false;
-            if (!parseResidencyPolicy(text, cli.compiler.residency)) {
-                std::fprintf(stderr,
-                             "powermove: unknown residency policy '%s' "
-                             "(expected lookahead, lru, lti, or fidelity)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--batch-policy") {
-            if (!take_value("--batch-policy", i, text))
+            if (!strategy("--batch-policy", "batch policy",
+                          parseAodBatchPolicy, cli.compiler.aod_batch_policy,
+                          i))
                 return false;
-            if (!parseAodBatchPolicy(text, cli.compiler.aod_batch_policy)) {
-                std::fprintf(stderr,
-                             "powermove: unknown batch policy '%s' (expected "
-                             "in-order or duration-balanced)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--metrics-out") {
             if (!take_value("--metrics-out", i, text))
                 return false;
