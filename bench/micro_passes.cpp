@@ -31,8 +31,8 @@ main()
 
     std::printf("=== Per-pass compile-time breakdown (Table 2 suite) ===\n\n");
 
-    std::vector<PassProfile> suite_totals;
-    std::map<std::string, std::vector<PassProfile>> family_totals;
+    PassProfiles suite_totals;
+    std::map<std::string, PassProfiles> family_totals;
     TextTable per_bench({"Benchmark", "Config", "Compile (us)", "Hottest pass"});
 
     for (const BenchmarkSpec &spec : table2Suite()) {
@@ -61,8 +61,8 @@ main()
                  hottest != nullptr ? std::string(passName(hottest->pass))
                                     : "-"});
 
-            mergePassProfiles(suite_totals, best.pass_profiles);
-            mergePassProfiles(family_totals[spec.family], best.pass_profiles);
+            suite_totals += best.pass_profiles;
+            family_totals[spec.family] += best.pass_profiles;
         }
     }
 

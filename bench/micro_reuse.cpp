@@ -109,26 +109,14 @@ compileOne(const Machine &machine, const Circuit &circuit,
     run.moves = result.schedule.numQubitMoves();
     run.transfers = result.schedule.numTransfers();
     run.fidelity = result.metrics.fidelity();
-    for (const PassProfile &profile : result.pass_profiles) {
-        if (profile.pass != PassId::Routing)
-            continue;
-        for (const PassCounter &counter : profile.counters) {
-            if (counter.name == "qubits_held")
-                run.held = counter.value;
-            if (counter.name == "lookahead_hits")
-                run.hits = counter.value;
-            if (counter.name == "lookahead_misses")
-                run.misses = counter.value;
-            if (counter.name == "parked_no_reuse")
-                run.parked_no_reuse = counter.value;
-            if (counter.name == "window_misses")
-                run.window_misses = counter.value;
-            if (counter.name == "residency_holds_started")
-                run.holds_started = counter.value;
-            if (counter.name == "residency_holds_ended")
-                run.holds_ended = counter.value;
-        }
-    }
+    const PassProfiles &profiles = result.pass_profiles;
+    run.held = profiles[PassCounter::QubitsHeld];
+    run.hits = profiles[PassCounter::LookaheadHits];
+    run.misses = profiles[PassCounter::LookaheadMisses];
+    run.parked_no_reuse = profiles[PassCounter::ParkedNoReuse];
+    run.window_misses = profiles[PassCounter::WindowMisses];
+    run.holds_started = profiles[PassCounter::ResidencyHoldsStarted];
+    run.holds_ended = profiles[PassCounter::ResidencyHoldsEnded];
     return run;
 }
 

@@ -130,18 +130,20 @@ struct CompilerOptions
     /**
      * Windowed-routing search width, in candidate gate orderings per
      * stage transition (>= 1): the original order plus window - 1
-     * random shuffles, each routed on a scratch layout, best total
-     * move distance wins. Compile time grows linearly with the
-     * window; 1 degenerates to the continuous router. Ignored by
-     * every other routing strategy.
+     * random shuffles, each planned on the live layout, scored, and
+     * reverted; the best total move distance wins and is re-applied.
+     * Compile time grows linearly with the window; 1 degenerates to
+     * the continuous router. Ignored by every other routing strategy.
      */
     std::uint32_t routing_window = 8;
 
     /**
      * Record per-pass wall times and counters into
      * CompileResult::pass_profiles. Profiling never changes the emitted
-     * schedule; disabling only removes the clock reads from the hot loop
-     * and leaves pass_profiles empty.
+     * schedule. Off saves the two steady_clock reads around every pass
+     * invocation (four passes run once per stage, so a deep circuit
+     * pays thousands of them), which is nearly all of profiling's
+     * cost, and leaves pass_profiles all zero.
      */
     bool profile_passes = true;
 };

@@ -21,7 +21,7 @@ namespace {
  * Places every unplaced qubit of ctx.layout into @p zone per
  * options.placement. The routing-aware placement publishes its
  * strategy-specific measurements as PassId::Placement counters; the
- * simple layouts leave the profiler untouched.
+ * simple layouts feed no counter.
  */
 void
 placeBy(PipelineContext &ctx, ZoneKind zone)
@@ -57,18 +57,14 @@ placeBy(PipelineContext &ctx, ZoneKind zone)
         // with the reuse routing counters): the weighted interaction
         // distance before and after refinement, x1000 to survive the
         // integer counter format, plus the local-search effort.
-        ctx.profiler.addCounter(
-            PassId::Placement, "initial_weighted_dist_x1000",
-            static_cast<std::uint64_t>(
-                std::llround(report.initial_weighted_distance * 1000.0)));
-        ctx.profiler.addCounter(
-            PassId::Placement, "refined_weighted_dist_x1000",
-            static_cast<std::uint64_t>(
-                std::llround(report.refined_weighted_distance * 1000.0)));
-        ctx.profiler.addCounter(PassId::Placement, "refine_sweeps",
-                                report.refine_sweeps);
-        ctx.profiler.addCounter(PassId::Placement, "refine_moves",
-                                report.refine_moves);
+        ctx.count(PassCounter::InitialWeightedDistX1000,
+                  static_cast<std::uint64_t>(std::llround(
+                      report.initial_weighted_distance * 1000.0)));
+        ctx.count(PassCounter::RefinedWeightedDistX1000,
+                  static_cast<std::uint64_t>(std::llround(
+                      report.refined_weighted_distance * 1000.0)));
+        ctx.count(PassCounter::RefineSweeps, report.refine_sweeps);
+        ctx.count(PassCounter::RefineMoves, report.refine_moves);
         return;
     }
     }
@@ -108,14 +104,13 @@ orderCollMovesBy(CollMoveOrderStrategy strategy, const Machine &machine,
 void
 PlacementPass::run(PipelineContext &ctx) const
 {
-    const auto timing = ctx.profiler.time(PassId::Placement);
+    const auto timing = ctx.time(PassId::Placement);
     // The initial layout sits entirely in storage (Sec. 4.2) so that no
     // qubit is exposed to the first excitations; without a storage zone
     // everything starts in the compute zone instead.
     const ZoneKind zone =
         ctx.options.use_storage ? ZoneKind::Storage : ZoneKind::Compute;
-    ctx.profiler.addCounter(PassId::Placement, "qubits_placed",
-                            ctx.circuit.numQubits());
+    ctx.count(PassCounter::QubitsPlaced, ctx.circuit.numQubits());
     placeBy(ctx, zone);
 
     std::vector<SiteId> initial_sites(ctx.circuit.numQubits());
@@ -127,22 +122,19 @@ PlacementPass::run(PipelineContext &ctx) const
 std::vector<Stage>
 StagePartitionPass::run(PipelineContext &ctx, const CzBlock &block) const
 {
-    const auto timing = ctx.profiler.time(PassId::StagePartition);
+    const auto timing = ctx.time(PassId::StagePartition);
     auto stages = partitionBy(ctx.options.stage_partition, block,
                               ctx.circuit.numQubits());
-    ctx.profiler.addCounter(PassId::StagePartition, "gates",
-                            block.gates.size());
-    ctx.profiler.addCounter(PassId::StagePartition, "stages_produced",
-                            stages.size());
+    ctx.count(PassCounter::Gates, block.gates.size());
+    ctx.count(PassCounter::StagesProduced, stages.size());
     return stages;
 }
 
 std::vector<Stage>
 StageOrderPass::run(PipelineContext &ctx, std::vector<Stage> stages) const
 {
-    const auto timing = ctx.profiler.time(PassId::StageOrder);
-    ctx.profiler.addCounter(PassId::StageOrder, "stages_ordered",
-                            stages.size());
+    const auto timing = ctx.time(PassId::StageOrder);
+    ctx.count(PassCounter::StagesOrdered, stages.size());
     switch (ctx.options.stage_order) {
     case StageOrderStrategy::AsPartitioned:
         return stages;
@@ -154,9 +146,6 @@ StageOrderPass::run(PipelineContext &ctx, std::vector<Stage> stages) const
 }
 
 RoutingPass::RoutingPass(PipelineContext &ctx)
-    : router_(ctx.machine,
-              RouterOptions{ctx.options.use_storage, ctx.options.seed},
-              ctx.rng)
 {
     // Atom reuse trades storage round trips for compute-zone residency,
     // which only exists as a trade when there is a storage zone to
@@ -170,14 +159,18 @@ RoutingPass::RoutingPass(PipelineContext &ctx)
             ReuseRouterOptions{ctx.options.reuse_lookahead,
                                ctx.options.seed, ctx.options.residency},
             ctx.rng);
-    }
-    if (ctx.options.routing == RoutingStrategy::Windowed) {
+    } else if (ctx.options.routing == RoutingStrategy::Windowed) {
         if (ctx.options.routing_window == 0)
             fatal("windowed routing requires a window >= 1 ordering");
         windowed_router_ = std::make_unique<WindowedRouter>(
             ctx.machine,
             RouterOptions{ctx.options.use_storage, ctx.options.seed},
             ctx.options.routing_window, ctx.rng);
+    } else {
+        router_.emplace(ctx.machine,
+                        RouterOptions{ctx.options.use_storage,
+                                      ctx.options.seed},
+                        ctx.rng);
     }
 }
 
@@ -187,7 +180,7 @@ RoutingPass::beginBlock(PipelineContext &ctx, const std::vector<Stage> &stages)
     if (reuse_router_ == nullptr)
         return;
     // Deliberately untimed: the O(block gates) lookahead scan is noise
-    // next to the per-stage planning, and opening a profiler scope here
+    // next to the per-stage planning, and opening a timing scope here
     // would inflate the routing row's invocation count past the
     // documented one-per-stage semantics.
     const bool final_block =
@@ -198,53 +191,41 @@ RoutingPass::beginBlock(PipelineContext &ctx, const std::vector<Stage> &stages)
 TransitionPlan
 RoutingPass::run(PipelineContext &ctx, const Stage &stage)
 {
-    const auto timing = ctx.profiler.time(PassId::Routing);
+    const auto timing = ctx.time(PassId::Routing);
     TransitionPlan plan =
         reuse_router_ != nullptr
             ? reuse_router_->planStageTransition(ctx.layout, stage)
         : windowed_router_ != nullptr
             ? windowed_router_->planStageTransition(ctx.layout, stage)
-            : router_.planStageTransition(ctx.layout, stage);
-    ctx.profiler.addCounter(PassId::Routing, "moves_planned",
-                            plan.moves.size());
-    ctx.profiler.addCounter(PassId::Routing, "qubits_parked",
-                            plan.num_parked);
-    ctx.profiler.addCounter(PassId::Routing, "qubits_evicted",
-                            plan.num_evicted);
+            : router_->planStageTransition(ctx.layout, stage);
+    ctx.count(PassCounter::MovesPlanned, plan.moves.size());
+    ctx.count(PassCounter::QubitsParked, plan.num_parked);
+    ctx.count(PassCounter::QubitsEvicted, plan.num_evicted);
     if (reuse_router_ != nullptr) {
         // Reuse-only counters stay out of the continuous profile so the
         // default --profile output is unchanged from PR 2.
-        ctx.profiler.addCounter(PassId::Routing, "qubits_held",
-                                plan.num_held);
+        ctx.count(PassCounter::QubitsHeld, plan.num_held);
         // A hold that stays put skips its park move outright; a
         // relocated hold still emits one compute-zone move, so it only
         // trades the park (it saves the storage round trip's transfers
         // and the later retrieval, not a move this transition).
-        ctx.profiler.addCounter(PassId::Routing, "moves_saved",
-                                plan.num_held - plan.num_reuse_relocated);
-        ctx.profiler.addCounter(PassId::Routing, "lookahead_hits",
-                                plan.num_reuse_hits);
-        ctx.profiler.addCounter(PassId::Routing, "lookahead_misses",
-                                plan.num_lookahead_misses);
+        ctx.count(PassCounter::MovesSaved,
+                  plan.num_held - plan.num_reuse_relocated);
+        ctx.count(PassCounter::LookaheadHits, plan.num_reuse_hits);
+        ctx.count(PassCounter::LookaheadMisses, plan.num_lookahead_misses);
         // The misses split into "no further use in the block" (parking
         // is simply correct) and genuine window/pressure/cost misses;
         // the two always sum to lookahead_misses.
-        ctx.profiler.addCounter(PassId::Routing, "parked_no_reuse",
-                                plan.num_parked_no_reuse);
-        ctx.profiler.addCounter(PassId::Routing, "window_misses",
-                                plan.num_window_misses);
-        ctx.profiler.addCounter(PassId::Routing, "reuse_relocations",
-                                plan.num_reuse_relocated);
-        ctx.profiler.addCounter(PassId::Routing, "holds_denied",
-                                plan.num_hold_denied);
+        ctx.count(PassCounter::ParkedNoReuse, plan.num_parked_no_reuse);
+        ctx.count(PassCounter::WindowMisses, plan.num_window_misses);
+        ctx.count(PassCounter::ReuseRelocations, plan.num_reuse_relocated);
+        ctx.count(PassCounter::HoldsDenied, plan.num_hold_denied);
     }
     if (windowed_router_ != nullptr) {
         // Windowed-only counters, gated like the reuse block above so
         // the default --profile output stays unchanged.
-        ctx.profiler.addCounter(PassId::Routing, "orderings_evaluated",
-                                plan.num_candidates);
-        ctx.profiler.addCounter(PassId::Routing, "window_wins",
-                                plan.num_window_wins);
+        ctx.count(PassCounter::OrderingsEvaluated, plan.num_candidates);
+        ctx.count(PassCounter::WindowWins, plan.num_window_wins);
     }
     return plan;
 }
@@ -260,38 +241,32 @@ RoutingPass::endProgram(PipelineContext &ctx)
     // a beginBlock() that never came.
     reuse_router_->endProgram();
     const ResidencyStats &stats = reuse_router_->residencyStats();
-    ctx.profiler.addCounter(PassId::Routing, "residency_holds_started",
-                            stats.holds_started);
-    ctx.profiler.addCounter(PassId::Routing, "residency_holds_ended",
-                            stats.holds_ended);
-    ctx.profiler.addCounter(PassId::Routing, "residency_resident_stages",
-                            stats.resident_stages);
-    ctx.profiler.addCounter(PassId::Routing, "residency_max_concurrent",
-                            stats.max_concurrent);
+    ctx.count(PassCounter::ResidencyHoldsStarted, stats.holds_started);
+    ctx.count(PassCounter::ResidencyHoldsEnded, stats.holds_ended);
+    ctx.count(PassCounter::ResidencyResidentStages, stats.resident_stages);
+    ctx.count(PassCounter::ResidencyMaxConcurrent, stats.max_concurrent);
 }
 
 std::vector<CollMove>
 CollMoveOrderPass::run(PipelineContext &ctx,
                        std::vector<QubitMove> moves) const
 {
-    const auto timing = ctx.profiler.time(PassId::CollMoveOrder);
+    const auto timing = ctx.time(PassId::CollMoveOrder);
     auto groups =
         orderCollMovesBy(ctx.options.coll_move_order, ctx.machine,
                          groupMoves(ctx.machine, std::move(moves)));
-    ctx.profiler.addCounter(PassId::CollMoveOrder, "groups_formed",
-                            groups.size());
+    ctx.count(PassCounter::GroupsFormed, groups.size());
     return groups;
 }
 
 std::vector<AodBatch>
 AodBatchPass::run(PipelineContext &ctx, std::vector<CollMove> groups) const
 {
-    const auto timing = ctx.profiler.time(PassId::AodBatch);
+    const auto timing = ctx.time(PassId::AodBatch);
     auto batches =
         batchForAods(ctx.machine, std::move(groups), ctx.options.num_aods,
                      ctx.options.aod_batch_policy);
-    ctx.profiler.addCounter(PassId::AodBatch, "batches_emitted",
-                            batches.size());
+    ctx.count(PassCounter::BatchesEmitted, batches.size());
     return batches;
 }
 
@@ -314,8 +289,7 @@ Pipeline::run(const Circuit &circuit) const
                         circuit,
                         Layout(machine_, circuit.numQubits()),
                         std::nullopt,
-                        Rng(options_.seed),
-                        PassProfiler(options_.profile_passes)};
+                        Rng(options_.seed)};
 
     const PlacementPass placement;
     const StagePartitionPass partition;
@@ -370,7 +344,7 @@ Pipeline::run(const Circuit &circuit) const
                          Duration::micros(elapsed_us),
                          ctx.num_stages,
                          ctx.num_coll_moves,
-                         ctx.profiler.finish()};
+                         ctx.profiles};
     result.metrics = evaluateSchedule(result.schedule);
     return result;
 }

@@ -21,7 +21,7 @@
  * pass owns a strategy-selected router. A new strategy from the
  * related literature — e.g. routing-aware placement — is one enum value
  * plus one case in its pass. Each pass invocation is timed and counted
- * by the context's PassProfiler (see compiler/profile.hpp).
+ * into the context's PassProfiles (see compiler/profile.hpp).
  *
  * With default options the pipeline reproduces the pre-pipeline
  * monolithic compiler bit-for-bit (pipeline_test.cpp locks this in
@@ -62,11 +62,30 @@ struct PipelineContext
     std::optional<MachineSchedule> schedule;
     /** The compilation's single randomized-decision stream. */
     Rng rng;
-    /** Per-pass wall times and counters. */
-    PassProfiler profiler;
+    /**
+     * Per-pass wall times and counters, returned as
+     * CompileResult::pass_profiles; all zero unless
+     * options.profile_passes.
+     */
+    PassProfiles profiles{};
     std::size_t num_stages = 0;
     std::size_t num_coll_moves = 0;
     std::size_t block_index = 0;
+
+    /** Times one invocation of @p pass into profiles. */
+    PassTiming
+    time(PassId pass)
+    {
+        return PassTiming(options.profile_passes ? &profiles : nullptr, pass);
+    }
+
+    /** Adds @p delta to @p counter in profiles. */
+    void
+    count(PassCounter counter, std::uint64_t delta)
+    {
+        if (options.profile_passes)
+            profiles.add(counter, delta);
+    }
 };
 
 // ------------------------------------------------------------------- passes
@@ -134,9 +153,11 @@ class RoutingPass
     void endProgram(PipelineContext &ctx);
 
   private:
-    ContinuousRouter router_;
-    std::unique_ptr<ReuseAwareRouter> reuse_router_;   // engaged iff Reuse
-    std::unique_ptr<WindowedRouter> windowed_router_;  // engaged iff Windowed
+    // Exactly one router is engaged: the reuse router for Reuse with
+    // storage, the windowed router for Windowed, else the continuous one.
+    std::optional<ContinuousRouter> router_;
+    std::unique_ptr<ReuseAwareRouter> reuse_router_;
+    std::unique_ptr<WindowedRouter> windowed_router_;
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "compiler/profile.hpp"
 
-#include <algorithm>
-
 namespace powermove {
 
 std::string_view
@@ -24,81 +22,26 @@ passName(PassId pass)
     return "unknown";
 }
 
-void
-PassProfiler::addCounter(PassId pass, std::string_view name,
-                         std::uint64_t delta)
+bool
+PassProfiles::empty() const
 {
-    if (!enabled_)
-        return;
-    auto &counters = slots_[static_cast<std::size_t>(pass)].counters;
-    const auto it =
-        std::find_if(counters.begin(), counters.end(),
-                     [&](const PassCounter &c) { return c.name == name; });
-    if (it != counters.end())
-        it->value += delta;
-    else
-        counters.push_back({std::string(name), delta});
+    for (const PassProfile &profile : passes)
+        if (profile.invocations != 0)
+            return false;
+    return true;
 }
 
-void
-PassProfiler::record(PassId pass, std::chrono::steady_clock::duration elapsed)
+PassProfiles &
+PassProfiles::operator+=(const PassProfiles &other)
 {
-    Slot &slot = slots_[static_cast<std::size_t>(pass)];
-    slot.wall_micros +=
-        std::chrono::duration<double, std::micro>(elapsed).count();
-    ++slot.invocations;
-}
-
-std::vector<PassProfile>
-PassProfiler::finish() const
-{
-    std::vector<PassProfile> profiles;
-    if (!enabled_)
-        return profiles;
-    for (std::size_t i = 0; i < kNumPasses; ++i) {
-        const Slot &slot = slots_[i];
-        if (slot.invocations == 0)
-            continue;
-        PassProfile profile;
-        profile.pass = static_cast<PassId>(i);
-        profile.wall_time = Duration::micros(slot.wall_micros);
-        profile.invocations = slot.invocations;
-        profile.counters = slot.counters;
-        profiles.push_back(std::move(profile));
+    for (std::size_t p = 0; p < kNumPasses; ++p) {
+        passes[p].wall_time = passes[p].wall_time + other.passes[p].wall_time;
+        passes[p].invocations += other.passes[p].invocations;
     }
-    return profiles;
-}
-
-void
-mergePassProfiles(std::vector<PassProfile> &into,
-                  const std::vector<PassProfile> &from)
-{
-    for (const PassProfile &profile : from) {
-        auto it = std::find_if(
-            into.begin(), into.end(),
-            [&](const PassProfile &p) { return p.pass == profile.pass; });
-        if (it == into.end()) {
-            into.push_back(profile);
-            continue;
-        }
-        it->wall_time = it->wall_time + profile.wall_time;
-        it->invocations += profile.invocations;
-        for (const PassCounter &counter : profile.counters) {
-            const auto cit = std::find_if(
-                it->counters.begin(), it->counters.end(),
-                [&](const PassCounter &c) { return c.name == counter.name; });
-            if (cit != it->counters.end())
-                cit->value += counter.value;
-            else
-                it->counters.push_back(counter);
-        }
-    }
-    // Keep the aggregate in pipeline order no matter how partial the
-    // incoming profiles were (a pass can be absent from early jobs).
-    std::sort(into.begin(), into.end(),
-              [](const PassProfile &a, const PassProfile &b) {
-                  return static_cast<int>(a.pass) < static_cast<int>(b.pass);
-              });
+    for (std::size_t c = 0; c < kNumPassCounters; ++c)
+        counters[c] += other.counters[c];
+    touched |= other.touched;
+    return *this;
 }
 
 } // namespace powermove

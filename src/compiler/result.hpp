@@ -6,8 +6,6 @@
 #ifndef POWERMOVE_COMPILER_RESULT_HPP
 #define POWERMOVE_COMPILER_RESULT_HPP
 
-#include <vector>
-
 #include "compiler/profile.hpp"
 #include "fidelity/breakdown.hpp"
 #include "isa/machine_schedule.hpp"
@@ -28,11 +26,11 @@ struct CompileResult
     /** Coll-Moves emitted. */
     std::size_t num_coll_moves = 0;
     /**
-     * Per-pass wall time and counters, in pipeline order. Empty when the
-     * producing compiler does not profile (CompilerOptions::profile_passes
-     * off, or the Enola baseline).
+     * Per-pass wall time and counters. empty() when the producing
+     * compiler does not profile (CompilerOptions::profile_passes off, or
+     * the Enola baseline).
      */
-    std::vector<PassProfile> pass_profiles;
+    PassProfiles pass_profiles;
 };
 
 } // namespace powermove

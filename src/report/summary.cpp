@@ -66,7 +66,7 @@ RatioSummary::toString() const
 }
 
 std::string
-formatPassProfiles(const std::vector<PassProfile> &profiles)
+formatPassProfiles(const PassProfiles &profiles)
 {
     if (profiles.empty())
         return "(no pass profiles)\n";
@@ -77,13 +77,17 @@ formatPassProfiles(const std::vector<PassProfile> &profiles)
 
     TextTable table({"Pass", "Calls", "Time (us)", "Share", "Counters"});
     for (const PassProfile &profile : profiles) {
+        if (profile.invocations == 0)
+            continue;
         const double micros = profile.wall_time.micros();
         const double share = total_micros > 0.0 ? micros / total_micros : 0.0;
         std::vector<std::string> counters;
-        counters.reserve(profile.counters.size());
-        for (const PassCounter &counter : profile.counters)
-            counters.push_back(counter.name + "=" +
-                               std::to_string(counter.value));
+        profiles.forEachCounter(
+            profile.pass,
+            [&](const PassCounterInfo &info, std::uint64_t value) {
+                counters.push_back(std::string(info.name) + "=" +
+                                   std::to_string(value));
+            });
         table.addRow({std::string(passName(profile.pass)),
                       std::to_string(profile.invocations),
                       formatGeneral(micros, 4),

@@ -46,13 +46,13 @@ class RatioSummary
 };
 
 /**
- * Renders per-pass profiles as an aligned table: pass name, invocation
- * count, wall time, share of the summed pass time, and the pass's
- * counters. Used by `powermove --profile`, the service stats dump, and
- * bench/micro_passes. Returns "(no pass profiles)" when @p profiles is
+ * Renders every pass that ran as an aligned table row: pass name,
+ * invocation count, wall time, share of the summed pass time, and the
+ * pass's touched counters. Used by `powermove --profile`, the service
+ * stats dump, and bench/micro_passes. Returns "(no pass profiles)" when @p profiles is
  * empty (profiling disabled or a non-pipeline compiler).
  */
-std::string formatPassProfiles(const std::vector<PassProfile> &profiles);
+std::string formatPassProfiles(const PassProfiles &profiles);
 
 } // namespace powermove
 

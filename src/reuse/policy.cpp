@@ -23,11 +23,6 @@ class LookaheadPolicy final : public ResidencyPolicyImpl
         PM_ASSERT(lookahead_ >= 1, "reuse lookahead must be >= 1");
     }
 
-    ResidencyPolicy kind() const override
-    {
-        return ResidencyPolicy::Lookahead;
-    }
-
     bool persistsAcrossBlocks() const override { return false; }
 
     void
@@ -100,9 +95,6 @@ class PressurePolicy : public ResidencyPolicyImpl
  */
 class LtiPolicy final : public PressurePolicy
 {
-  public:
-    ResidencyPolicy kind() const override { return ResidencyPolicy::Lti; }
-
   protected:
     void
     wantsHolds(const ResidencyQuery &query, std::vector<QubitId> &wanted,
@@ -191,11 +183,6 @@ class FidelityPolicy final : public PressurePolicy
           // half of the trip (nothing retrieves the atom afterwards).
           park_cost_(costs_.round_trip / 2.0)
     {}
-
-    ResidencyPolicy kind() const override
-    {
-        return ResidencyPolicy::Fidelity;
-    }
 
   protected:
     void

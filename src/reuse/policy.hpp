@@ -64,9 +64,6 @@ class ResidencyPolicyImpl
   public:
     virtual ~ResidencyPolicyImpl() = default;
 
-    /** The enum value this implementation realizes. */
-    virtual ResidencyPolicy kind() const = 0;
-
     /**
      * True when residents survive block boundaries: the router then
      * skips the forced release in beginBlock() and the next

@@ -17,10 +17,11 @@ namespace {
 
 /*
  * Payload encoding: little-endian u64 for every integer, IEEE-754 bit
- * patterns for doubles, length-prefixed bytes for strings, one tag byte
- * per instruction. The encoding is canonical — one result has exactly
- * one serialization — which is what lets the tests use byte equality of
- * serializations as the "bit-identical schedule" witness.
+ * patterns for doubles, one tag byte per instruction, and fixed-width
+ * pass profiles (every pass, then every counter). The encoding is
+ * canonical — one result has exactly one serialization — which is what
+ * lets the tests use byte equality of serializations as the
+ * "bit-identical schedule" witness.
  */
 
 class ByteWriter
@@ -40,13 +41,6 @@ class ByteWriter
     }
 
     void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-
-    void
-    str(std::string_view text)
-    {
-        u64(text.size());
-        buffer_.append(text.data(), text.size());
-    }
 
     std::string take() { return std::move(buffer_); }
 
@@ -91,17 +85,6 @@ class ByteReader
         if (!u64(bits))
             return false;
         out = std::bit_cast<double>(bits);
-        return true;
-    }
-
-    bool
-    str(std::string &out)
-    {
-        std::uint64_t size = 0;
-        if (!u64(size) || size > remaining())
-            return false;
-        out.assign(data_.data() + pos_, static_cast<std::size_t>(size));
-        pos_ += static_cast<std::size_t>(size);
         return true;
     }
 
@@ -316,52 +299,40 @@ readSchedule(ByteReader &in, const Machine &machine,
     return true;
 }
 
+// One payload slot per PassCounter: a new counter is a new layout.
+static_assert(kNumPassCounters == 27 && DiskCache::kFormatVersion == 2,
+              "bump DiskCache::kFormatVersion with the PassCounter list");
+
 void
-writeProfiles(ByteWriter &out, const std::vector<PassProfile> &profiles)
+writeProfiles(ByteWriter &out, const PassProfiles &profiles)
 {
-    out.u64(profiles.size());
     for (const PassProfile &profile : profiles) {
-        out.u8(static_cast<std::uint8_t>(profile.pass));
         out.f64(profile.wall_time.micros());
         out.u64(profile.invocations);
-        out.u64(profile.counters.size());
-        for (const PassCounter &counter : profile.counters) {
-            out.str(counter.name);
-            out.u64(counter.value);
-        }
     }
+    out.u64(profiles.touched);
+    for (const std::uint64_t value : profiles.counters)
+        out.u64(value);
 }
 
 bool
-readProfiles(ByteReader &in, std::vector<PassProfile> &profiles)
+readProfiles(ByteReader &in, PassProfiles &profiles)
 {
-    std::uint64_t num_profiles = 0;
-    if (!in.count(num_profiles, 25))
-        return false;
-    profiles.reserve(static_cast<std::size_t>(num_profiles));
-    for (std::uint64_t p = 0; p < num_profiles; ++p) {
-        PassProfile profile;
-        std::uint8_t pass = 0;
-        if (!in.u8(pass) || pass >= kNumPasses)
-            return false;
-        profile.pass = static_cast<PassId>(pass);
+    for (PassProfile &profile : profiles.passes) {
         double micros = 0.0;
         std::uint64_t invocations = 0;
-        std::uint64_t num_counters = 0;
-        if (!in.f64(micros) || !in.u64(invocations) ||
-            !in.count(num_counters, 16))
+        if (!in.f64(micros) || !in.u64(invocations))
             return false;
         profile.wall_time = Duration::micros(micros);
         profile.invocations = static_cast<std::size_t>(invocations);
-        profile.counters.reserve(static_cast<std::size_t>(num_counters));
-        for (std::uint64_t c = 0; c < num_counters; ++c) {
-            PassCounter counter;
-            if (!in.str(counter.name) || !in.u64(counter.value))
-                return false;
-            profile.counters.push_back(std::move(counter));
-        }
-        profiles.push_back(std::move(profile));
     }
+    std::uint64_t touched = 0;
+    if (!in.u64(touched) || touched >> kNumPassCounters != 0)
+        return false;
+    profiles.touched = static_cast<std::uint32_t>(touched);
+    for (std::uint64_t &value : profiles.counters)
+        if (!in.u64(value))
+            return false;
     return true;
 }
 
@@ -470,16 +441,11 @@ serializeResultWitness(const CompileResult &result)
     out.u64(result.num_coll_moves);
     // Profiles without their wall times: invocation counts and pass
     // counters are deterministic, the clock readings are not.
-    out.u64(result.pass_profiles.size());
-    for (const PassProfile &profile : result.pass_profiles) {
-        out.u8(static_cast<std::uint8_t>(profile.pass));
+    for (const PassProfile &profile : result.pass_profiles)
         out.u64(profile.invocations);
-        out.u64(profile.counters.size());
-        for (const PassCounter &counter : profile.counters) {
-            out.str(counter.name);
-            out.u64(counter.value);
-        }
-    }
+    out.u64(result.pass_profiles.touched);
+    for (const std::uint64_t value : result.pass_profiles.counters)
+        out.u64(value);
     return out.take();
 }
 
@@ -492,7 +458,7 @@ deserializeCompileResult(std::string_view payload, const Machine &machine)
     double compile_micros = 0.0;
     std::uint64_t num_stages = 0;
     std::uint64_t num_coll_moves = 0;
-    std::vector<PassProfile> profiles;
+    PassProfiles profiles;
     try {
         if (!readSchedule(in, machine, schedule) ||
             !readBreakdown(in, metrics) || !in.f64(compile_micros) ||

@@ -89,7 +89,7 @@ class DiskCache
 {
   public:
     /** On-disk format version; bump on any serialization change. */
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
     /**
      * Opens (creating if needed) the cache at @p options.dir and indexes

@@ -337,7 +337,7 @@ JobService::recordState(JobId id, JobState state, std::string error,
 
 void
 JobService::traceJob(JobId id, std::string_view source,
-                     const std::vector<PassProfile> *passes,
+                     const PassProfiles *passes,
                      const JobTraceIo *io)
 {
     if (obs_ == nullptr)
@@ -561,8 +561,7 @@ JobService::workerLoop(Shard &shard)
                                                         : TierIndex::Miss)]
                 ->add(1);
             if (!error && !from_disk)
-                metric_->foldPassProfiles(obs_->metrics,
-                                          result->pass_profiles);
+                metric_->foldPassProfiles(result->pass_profiles);
         }
 
         // Leftover expired waiters exist only on the error path (the

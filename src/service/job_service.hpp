@@ -320,7 +320,7 @@ class JobService
      * annotates the terminal marker with the serving tier.
      */
     void traceJob(JobId id, std::string_view source,
-                  const std::vector<PassProfile> *passes = nullptr,
+                  const PassProfiles *passes = nullptr,
                   const JobTraceIo *io = nullptr);
 
     JobServiceOptions options_;

@@ -67,34 +67,35 @@ ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
         pass_invocations[p] = &registry.counter(
             "powermove_pass_invocations_total", {{"pass", pass}});
     }
+    for (std::size_t c = 0; c < kNumPassCounters; ++c)
+        pass_counter[c] = &registry.counter(
+            "powermove_pass_counter_total",
+            {{"pass", std::string(passName(kPassCounters[c].pass))},
+             {"counter", std::string(kPassCounters[c].name)}});
     memory_cache_evictions =
         &registry.counter("powermove_memory_cache_evictions_total");
     shard_imbalance = &registry.gauge("powermove_shard_imbalance");
 }
 
 void
-ServiceMetricHandles::foldPassProfiles(
-    obs::MetricsRegistry &registry, const std::vector<PassProfile> &profiles)
+ServiceMetricHandles::foldPassProfiles(const PassProfiles &profiles)
 {
     for (const PassProfile &profile : profiles) {
-        const std::size_t index = static_cast<std::size_t>(profile.pass);
-        if (index >= kNumPasses)
+        if (profile.invocations == 0)
             continue;
+        const std::size_t index = static_cast<std::size_t>(profile.pass);
         pass_wall_us[index]->observe(profile.wall_time.micros());
         pass_invocations[index]->add(profile.invocations);
-        const std::string pass(passName(profile.pass));
-        for (const PassCounter &counter : profile.counters)
-            registry
-                .counter("powermove_pass_counter_total",
-                         {{"pass", pass}, {"counter", counter.name}})
-                .add(counter.value);
     }
+    for (std::size_t c = 0; c < kNumPassCounters; ++c)
+        if (profiles.counters[c] != 0)
+            pass_counter[c]->add(profiles.counters[c]);
 }
 
 void
 appendJobTrace(obs::TraceCollector &trace, std::uint64_t job_id,
                const Timeline &timeline,
-               const std::vector<PassProfile> *passes,
+               const PassProfiles *passes,
                std::string_view source, const JobTraceIo *io)
 {
     const std::vector<TimelineEvent> &events = timeline.events();
@@ -126,6 +127,8 @@ appendJobTrace(obs::TraceCollector &trace, std::uint64_t job_id,
             // synthetic offsets.
             auto cursor = running->at;
             for (const PassProfile &profile : *passes) {
+                if (profile.invocations == 0)
+                    continue;
                 const auto width =
                     std::chrono::duration_cast<
                         obs::TraceCollector::Clock::duration>(
@@ -135,9 +138,11 @@ appendJobTrace(obs::TraceCollector &trace, std::uint64_t job_id,
                 args.emplace_back("invocations",
                                   std::to_string(profile.invocations));
                 args.emplace_back("offsets", "synthetic");
-                for (const PassCounter &counter : profile.counters)
-                    args.emplace_back(counter.name,
-                                      std::to_string(counter.value));
+                passes->forEachCounter(
+                    profile.pass,
+                    [&](const PassCounterInfo &info, std::uint64_t value) {
+                        args.emplace_back(info.name, std::to_string(value));
+                    });
                 trace.addComplete(std::string(passName(profile.pass)),
                                   "pass", job_id, cursor, cursor + width,
                                   std::move(args));

@@ -5,8 +5,8 @@
  * trace-span stitching.
  *
  * Metric catalog (all series pre-registered by ServiceMetricHandles so
- * an export always covers every cache tier, pipeline pass, and job
- * state, even at zero):
+ * an export always covers every cache tier, pipeline pass, pass
+ * counter, and job state, even at zero):
  *
  *   powermove_jobs_submitted_total           counter
  *   powermove_job_states_total{state=...}    counter, all 8 JobStates
@@ -23,8 +23,8 @@
  *                                            pipeline passes
  *   powermove_pass_invocations_total{pass=.} counter
  *   powermove_pass_counter_total{pass=.,counter=.}
- *                                            counter, folded from the
- *                                            PassProfile counters
+ *                                            counter, all 27
+ *                                            PassCounters
  *   powermove_shard_queue_depth{shard=...}   gauge, per JobService shard
  *   powermove_shard_imbalance                gauge, max-min queue depth
  *   powermove_memory_cache_evictions_total   counter
@@ -49,7 +49,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "compiler/profile.hpp"
 #include "obs/metrics.hpp"
@@ -101,19 +100,18 @@ struct ServiceMetricHandles
     std::array<obs::Histogram *, kNumPriorityClasses> run_us;
     std::array<obs::Histogram *, kNumPasses> pass_wall_us;
     std::array<obs::Counter *, kNumPasses> pass_invocations;
+    /** Indexed by static_cast<size_t>(PassCounter). */
+    std::array<obs::Counter *, kNumPassCounters> pass_counter;
     obs::Counter *memory_cache_evictions;
     obs::Gauge *shard_imbalance;
 
     /**
-     * Folds one compiled job's PassProfiles in: per pass, the wall time
-     * becomes one histogram observation, invocations accumulate, and
-     * every profile counter lands on
-     * powermove_pass_counter_total{pass, counter}. @p registry must be
-     * the registry the handles were resolved from (profile counters are
-     * registered by name on first sight).
+     * Folds one compiled job's PassProfiles in: per pass that ran, the
+     * wall time becomes one histogram observation and invocations
+     * accumulate; every counter lands on
+     * powermove_pass_counter_total{pass, counter}.
      */
-    void foldPassProfiles(obs::MetricsRegistry &registry,
-                          const std::vector<PassProfile> &profiles);
+    void foldPassProfiles(const PassProfiles &profiles);
 };
 
 /** Real-timestamped disk-tier I/O of the worker that resolved a job. */
@@ -141,7 +139,7 @@ struct JobTraceIo
  */
 void appendJobTrace(obs::TraceCollector &trace, std::uint64_t job_id,
                     const Timeline &timeline,
-                    const std::vector<PassProfile> *passes,
+                    const PassProfiles *passes,
                     std::string_view source,
                     const JobTraceIo *io = nullptr);
 

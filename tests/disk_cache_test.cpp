@@ -239,6 +239,35 @@ TEST(DiskCacheTest, FlippedPayloadBitFailsTheChecksum)
     EXPECT_FALSE(fs::exists(entry));
 }
 
+TEST(DiskCacheTest, PreviousFormatVersionIsAMissAndIsDeleted)
+{
+    const TempDir dir("version");
+    const CompileJob job = smallJob();
+    const Machine machine(job.machine);
+    const std::uint64_t key = jobFingerprint(job);
+
+    DiskCache cache(cacheOptions(dir.str()));
+    cache.store(key, compileDirect(job, machine));
+    const fs::path entry = soleEntryFile(dir.path());
+    ASSERT_FALSE(entry.empty());
+
+    // Rewrite the header's little-endian u32 version (offset 4). The
+    // checksum covers only the payload, so it still verifies: the
+    // version check alone must reject the entry.
+    const std::uint32_t previous = DiskCache::kFormatVersion - 1;
+    std::fstream file(entry,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file);
+    file.seekp(4);
+    for (int i = 0; i < 4; ++i)
+        file.put(static_cast<char>(previous >> (8 * i)));
+    file.close();
+
+    EXPECT_EQ(cache.load(key, machine), nullptr);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_FALSE(fs::exists(entry));
+}
+
 TEST(DiskCacheTest, GarbageEntryIndexedOnStartupIsAMiss)
 {
     const TempDir dir("garbage");

@@ -1,12 +1,13 @@
-/** @file Keeps docs/strategies.md in sync with the strategy enums.
+/** @file Keeps docs/strategies.md in sync with the strategy enums, and
+ * docs/observability.md with the pass counters.
  *
  * docs/strategies.md documents every strategy axis (one `## \`axis\``
  * section per axis, one `| \`value\` |` table row per value) and
  * promises the names cannot drift from `strategyCatalog()` — this test
  * is that promise, in both directions: every catalog axis/value must
  * be documented, and every documented axis/value must exist in the
- * catalog. The CI docs-check job runs it next to the dead-link
- * checker.
+ * catalog. docs/observability.md must name every PassCounter. The CI
+ * docs-check job runs it next to the dead-link checker.
  */
 
 #include <gtest/gtest.h>
@@ -18,19 +19,20 @@
 #include <string>
 #include <vector>
 
+#include "compiler/profile.hpp"
 #include "compiler/strategies.hpp"
 
 namespace powermove {
 namespace {
 
 std::string
-strategiesDocPath()
+docPath(const std::string &name)
 {
 #ifdef POWERMOVE_SOURCE_DIR
-    return std::string(POWERMOVE_SOURCE_DIR) + "/docs/strategies.md";
+    return std::string(POWERMOVE_SOURCE_DIR) + "/docs/" + name;
 #else
     // Fallback for ad-hoc builds: relative to the build directory.
-    return "../docs/strategies.md";
+    return "../docs/" + name;
 #endif
 }
 
@@ -62,8 +64,8 @@ parseDocumentedAxes(std::istream &in)
 
 TEST(DocsSyncTest, StrategiesDocMatchesCatalogBothWays)
 {
-    std::ifstream in(strategiesDocPath());
-    ASSERT_TRUE(in) << "cannot open " << strategiesDocPath();
+    std::ifstream in(docPath("strategies.md"));
+    ASSERT_TRUE(in) << "cannot open " << docPath("strategies.md");
     const auto documented = parseDocumentedAxes(in);
 
     const auto catalog = strategyCatalog();
@@ -103,6 +105,21 @@ TEST(DocsSyncTest, StrategiesDocMatchesCatalogBothWays)
         EXPECT_TRUE(catalog_axes.count(axis))
             << "docs/strategies.md documents unknown axis '" << axis << "'";
         (void)values;
+    }
+}
+
+TEST(DocsSyncTest, ObservabilityDocNamesEveryPassCounter)
+{
+    std::ifstream in(docPath("observability.md"));
+    ASSERT_TRUE(in) << "cannot open " << docPath("observability.md");
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (const PassCounterInfo &info : kPassCounters) {
+        std::string quoted = "`";
+        quoted += info.name;
+        quoted += '`';
+        EXPECT_NE(text.str().find(quoted), std::string::npos)
+            << "counter " << quoted << " is missing from docs/observability.md";
     }
 }
 

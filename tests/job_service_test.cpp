@@ -668,11 +668,11 @@ TEST(JobServiceTest, PassTotalsAggregateAcrossCompiledJobs)
     options.obs = bundle;
     JobService svc(options);
 
-    std::vector<PassProfile> totals;
+    PassProfiles totals;
     const auto submit = [&](const CompileJob &job) {
         const JobResult out = svc.submit(job).result.get();
         if (out.source == ResultSource::Compiled)
-            mergePassProfiles(totals, out.result->pass_profiles);
+            totals += out.result->pass_profiles;
     };
     const auto placements = [&] {
         return bundle->metrics
@@ -683,16 +683,15 @@ TEST(JobServiceTest, PassTotalsAggregateAcrossCompiledJobs)
 
     submit(smallJob(1));
     ASSERT_FALSE(totals.empty());
-    EXPECT_EQ(totals.front().pass, PassId::Placement);
-    EXPECT_EQ(totals.front().invocations, 1u);
+    EXPECT_EQ(totals[PassId::Placement].invocations, 1u);
     EXPECT_EQ(placements(), 1u);
 
     submit(smallJob(1)); // cache hit: totals unchanged
-    EXPECT_EQ(totals.front().invocations, 1u);
+    EXPECT_EQ(totals[PassId::Placement].invocations, 1u);
     EXPECT_EQ(placements(), 1u);
 
     submit(smallJob(2)); // fresh compile: placement again
-    EXPECT_EQ(totals.front().invocations, 2u);
+    EXPECT_EQ(totals[PassId::Placement].invocations, 2u);
     EXPECT_EQ(placements(), 2u);
 }
 

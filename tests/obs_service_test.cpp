@@ -141,6 +141,14 @@ TEST(ObsServiceTest, ExpositionCoversEveryStateTierAndPassAtZero)
                   std::string::npos)
             << pass;
     }
+    for (const PassCounterInfo &info : kPassCounters) {
+        std::string series = "powermove_pass_counter_total{pass=\"";
+        series += passName(info.pass);
+        series += "\",counter=\"";
+        series += info.name;
+        series += "\"} 0";
+        EXPECT_NE(text.find(series), std::string::npos) << series;
+    }
     for (const char *priority : {"low", "normal", "high"}) {
         EXPECT_NE(text.find("powermove_job_wait_us_count{priority=\"" +
                             std::string(priority) + "\"} 0"),
@@ -156,6 +164,40 @@ TEST(ObsServiceTest, ExpositionCoversEveryStateTierAndPassAtZero)
     EXPECT_NE(text.find("powermove_shard_imbalance"), std::string::npos);
     EXPECT_NE(text.find("powermove_memory_cache_evictions_total 0"),
               std::string::npos);
+}
+
+TEST(ObsServiceTest, PassCounterSeriesMatchTheCompiledResult)
+{
+    auto bundle = makeBundle();
+    JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = 1;
+    options.obs = bundle;
+    JobService svc(options);
+
+    const JobResult out = svc.submit(smallJob(3)).result.get();
+    ASSERT_EQ(out.source, ResultSource::Compiled);
+    const PassProfiles &profiles = out.result->pass_profiles;
+
+    const auto series = [&](PassCounter counter) {
+        const PassCounterInfo &info =
+            kPassCounters[static_cast<std::size_t>(counter)];
+        return bundle->metrics
+            .counter("powermove_pass_counter_total",
+                     {{"pass", std::string(passName(info.pass))},
+                      {"counter", std::string(info.name)}})
+            .value();
+    };
+    const std::uint64_t moves = series(PassCounter::MovesPlanned);
+    EXPECT_GT(moves, 0u);
+    EXPECT_EQ(moves, profiles[PassCounter::MovesPlanned]);
+    EXPECT_EQ(moves, out.result->schedule.numQubitMoves());
+    // Every other series carries exactly the job's counter, and the
+    // counters of strategies that did not run stay at zero.
+    for (std::size_t c = 0; c < kNumPassCounters; ++c)
+        EXPECT_EQ(series(static_cast<PassCounter>(c)), profiles.counters[c])
+            << kPassCounters[c].name;
+    EXPECT_EQ(series(PassCounter::QubitsHeld), 0u);
 }
 
 TEST(ObsServiceTest, EveryTerminalOutcomeIncrementsExactlyOneStateCounter)

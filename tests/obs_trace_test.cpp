@@ -141,15 +141,12 @@ TEST(AppendJobTraceTest, PassSpansLaidOutSequentiallyInsideRunning)
     const Clock::time_point base = Clock::now();
     const Timeline timeline = compiledTimeline(base);
 
-    std::vector<PassProfile> passes;
-    for (std::size_t p = 0; p < kNumPasses; ++p) {
-        PassProfile profile;
-        profile.pass = static_cast<PassId>(p);
+    PassProfiles passes;
+    for (PassProfile &profile : passes.passes) {
         profile.wall_time = Duration::micros(10.0);
         profile.invocations = 1;
-        passes.push_back(profile);
     }
-    passes[0].counters.push_back({"sites_considered", 12});
+    passes.add(PassCounter::QubitsPlaced, 12);
 
     appendJobTrace(trace, 5, timeline, &passes, "compiled");
 
@@ -164,7 +161,9 @@ TEST(AppendJobTraceTest, PassSpansLaidOutSequentiallyInsideRunning)
     }
     EXPECT_EQ(countOccurrences(json, "\"cat\":\"pass\""), kNumPasses);
     EXPECT_NE(json.find("\"offsets\":\"synthetic\""), std::string::npos);
-    EXPECT_NE(json.find("\"sites_considered\":\"12\""), std::string::npos);
+    EXPECT_NE(json.find("\"qubits_placed\":\"12\""), std::string::npos);
+    // Untouched counters stay off the spans.
+    EXPECT_EQ(json.find("\"moves_planned\""), std::string::npos);
 }
 
 TEST(AppendJobTraceTest, DiskIoBecomesRealTimestampedSpans)

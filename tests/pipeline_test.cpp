@@ -103,21 +103,22 @@ TEST(PipelineProfileTest, ProfilesCoverTheSixPassesWithSaneTimes)
     const auto result = PowerMoveCompiler(machine).compile(spec.build());
 
     // All six passes run for a storage-mode QAOA circuit.
-    ASSERT_EQ(result.pass_profiles.size(), kNumPasses);
+    std::size_t i = 0;
     double sum_micros = 0.0;
-    for (std::size_t i = 0; i < result.pass_profiles.size(); ++i) {
-        const PassProfile &profile = result.pass_profiles[i];
-        EXPECT_EQ(profile.pass, static_cast<PassId>(i)); // pipeline order
+    for (const PassProfile &profile : result.pass_profiles) {
+        EXPECT_EQ(profile.pass, static_cast<PassId>(i++)); // pipeline order
         EXPECT_GE(profile.wall_time.micros(), 0.0);
         EXPECT_GT(profile.invocations, 0u);
         sum_micros += profile.wall_time.micros();
     }
+    EXPECT_EQ(i, kNumPasses);
     // Pass times nest inside the end-to-end compile time.
     EXPECT_LE(sum_micros, result.compile_time.micros());
 
     // Inner passes ran once per stage, the placement exactly once.
-    EXPECT_EQ(result.pass_profiles[0].invocations, 1u);
-    EXPECT_EQ(result.pass_profiles[3].invocations, result.num_stages);
+    EXPECT_EQ(result.pass_profiles[PassId::Placement].invocations, 1u);
+    EXPECT_EQ(result.pass_profiles[PassId::Routing].invocations,
+              result.num_stages);
 }
 
 TEST(PipelineProfileTest, CountersAreDeterministicAcrossRuns)
@@ -129,20 +130,11 @@ TEST(PipelineProfileTest, CountersAreDeterministicAcrossRuns)
 
     const auto a = compiler.compile(circuit);
     const auto b = compiler.compile(circuit);
-    ASSERT_EQ(a.pass_profiles.size(), b.pass_profiles.size());
-    for (std::size_t i = 0; i < a.pass_profiles.size(); ++i) {
-        EXPECT_EQ(a.pass_profiles[i].pass, b.pass_profiles[i].pass);
-        EXPECT_EQ(a.pass_profiles[i].invocations,
-                  b.pass_profiles[i].invocations);
-        ASSERT_EQ(a.pass_profiles[i].counters.size(),
-                  b.pass_profiles[i].counters.size());
-        for (std::size_t c = 0; c < a.pass_profiles[i].counters.size(); ++c) {
-            EXPECT_EQ(a.pass_profiles[i].counters[c].name,
-                      b.pass_profiles[i].counters[c].name);
-            EXPECT_EQ(a.pass_profiles[i].counters[c].value,
-                      b.pass_profiles[i].counters[c].value);
-        }
-    }
+    for (std::size_t p = 0; p < kNumPasses; ++p)
+        EXPECT_EQ(a.pass_profiles.passes[p].invocations,
+                  b.pass_profiles.passes[p].invocations);
+    EXPECT_EQ(a.pass_profiles.touched, b.pass_profiles.touched);
+    EXPECT_EQ(a.pass_profiles.counters, b.pass_profiles.counters);
 }
 
 TEST(PipelineProfileTest, RoutingCountersMatchScheduleFacts)
@@ -151,18 +143,9 @@ TEST(PipelineProfileTest, RoutingCountersMatchScheduleFacts)
     const Machine machine(spec.machine_config);
     const auto result = PowerMoveCompiler(machine).compile(spec.build());
 
-    const PassProfile *routing = nullptr;
-    for (const PassProfile &profile : result.pass_profiles) {
-        if (profile.pass == PassId::Routing)
-            routing = &profile;
-    }
-    ASSERT_NE(routing, nullptr);
-    std::uint64_t moves_planned = 0;
-    for (const PassCounter &counter : routing->counters) {
-        if (counter.name == "moves_planned")
-            moves_planned = counter.value;
-    }
-    EXPECT_EQ(moves_planned, result.schedule.numQubitMoves());
+    ASSERT_GT(result.pass_profiles[PassId::Routing].invocations, 0u);
+    EXPECT_EQ(result.pass_profiles[PassCounter::MovesPlanned],
+              result.schedule.numQubitMoves());
 }
 
 TEST(PipelineProfileTest, DisablingProfilesKeepsTheScheduleBitIdentical)
@@ -175,6 +158,7 @@ TEST(PipelineProfileTest, DisablingProfilesKeepsTheScheduleBitIdentical)
     unprofiled.profile_passes = false;
     const auto off = PowerMoveCompiler(machine, unprofiled).compile(circuit);
     EXPECT_TRUE(off.pass_profiles.empty());
+    EXPECT_EQ(off.pass_profiles.touched, 0u);
 
     const auto on = PowerMoveCompiler(machine).compile(circuit);
     EXPECT_FALSE(on.pass_profiles.empty());
@@ -316,32 +300,31 @@ TEST(StrategyNameTest, NamesRoundTripThroughParsing)
 
 TEST(PassProfileMergeTest, MergeAddsTimesInvocationsAndCounters)
 {
-    std::vector<PassProfile> totals;
-    PassProfile routing;
-    routing.pass = PassId::Routing;
-    routing.wall_time = Duration::micros(5.0);
-    routing.invocations = 2;
-    routing.counters = {{"moves_planned", 10}};
-    mergePassProfiles(totals, {routing});
+    constexpr auto kRouting = static_cast<std::size_t>(PassId::Routing);
+    PassProfiles totals;
+    PassProfiles first;
+    first.passes[kRouting].wall_time = Duration::micros(5.0);
+    first.passes[kRouting].invocations = 2;
+    first.add(PassCounter::MovesPlanned, 10);
+    totals += first;
 
-    PassProfile more = routing;
-    more.wall_time = Duration::micros(3.0);
-    more.invocations = 1;
-    more.counters = {{"moves_planned", 4}, {"qubits_parked", 2}};
-    PassProfile placement;
-    placement.pass = PassId::Placement;
-    placement.invocations = 1;
-    mergePassProfiles(totals, {more, placement});
+    PassProfiles more;
+    more.passes[kRouting].wall_time = Duration::micros(3.0);
+    more.passes[kRouting].invocations = 1;
+    more.add(PassCounter::MovesPlanned, 4);
+    more.add(PassCounter::QubitsParked, 2);
+    more.passes[static_cast<std::size_t>(PassId::Placement)].invocations = 1;
+    totals += more;
 
-    ASSERT_EQ(totals.size(), 2u);
-    // Pipeline order restored even though routing arrived first.
-    EXPECT_EQ(totals[0].pass, PassId::Placement);
-    EXPECT_EQ(totals[1].pass, PassId::Routing);
-    EXPECT_DOUBLE_EQ(totals[1].wall_time.micros(), 8.0);
-    EXPECT_EQ(totals[1].invocations, 3u);
-    ASSERT_EQ(totals[1].counters.size(), 2u);
-    EXPECT_EQ(totals[1].counters[0].value, 14u);
-    EXPECT_EQ(totals[1].counters[1].value, 2u);
+    EXPECT_EQ(totals[PassId::Placement].invocations, 1u);
+    EXPECT_EQ(totals[PassId::StageOrder].invocations, 0u);
+    EXPECT_DOUBLE_EQ(totals[PassId::Routing].wall_time.micros(), 8.0);
+    EXPECT_EQ(totals[PassId::Routing].invocations, 3u);
+    EXPECT_EQ(totals[PassCounter::MovesPlanned], 14u);
+    EXPECT_EQ(totals[PassCounter::QubitsParked], 2u);
+    // Only the fed counters are touched.
+    EXPECT_TRUE(totals.isTouched(PassCounter::QubitsParked));
+    EXPECT_FALSE(totals.isTouched(PassCounter::QubitsEvicted));
 }
 
 } // namespace

@@ -293,22 +293,12 @@ TEST(RoutingAwareTest, PlacementCountersReportRefinement)
     options.placement = PlacementStrategy::RoutingAware;
     const auto result = PowerMoveCompiler(machine, options).compile(circuit);
 
-    std::uint64_t initial = 0;
-    std::uint64_t refined = 0;
-    bool found_sweeps = false;
-    for (const PassProfile &profile : result.pass_profiles) {
-        if (profile.pass != PassId::Placement)
-            continue;
-        for (const PassCounter &counter : profile.counters) {
-            if (counter.name == "initial_weighted_dist_x1000")
-                initial = counter.value;
-            if (counter.name == "refined_weighted_dist_x1000")
-                refined = counter.value;
-            if (counter.name == "refine_sweeps")
-                found_sweeps = true;
-        }
-    }
-    EXPECT_TRUE(found_sweeps);
+    const PassProfiles &profiles = result.pass_profiles;
+    const std::uint64_t initial =
+        profiles[PassCounter::InitialWeightedDistX1000];
+    const std::uint64_t refined =
+        profiles[PassCounter::RefinedWeightedDistX1000];
+    EXPECT_TRUE(profiles.isTouched(PassCounter::RefineSweeps));
     EXPECT_GT(initial, 0u);
     EXPECT_LE(refined, initial);
 }

@@ -331,8 +331,7 @@ compileSchedule(const Machine &machine, const Circuit &circuit,
                         circuit,
                         Layout(machine, circuit.numQubits()),
                         std::nullopt,
-                        Rng(options.seed),
-                        PassProfiler(false)};
+                        Rng(options.seed)};
 
     const PlacementPass placement;
     const StagePartitionPass partition;

@@ -51,17 +51,12 @@ partitionOnce(ResidencyPolicyImpl &policy, const ReuseAnalysis &analysis,
 }
 
 std::uint64_t
-routingCounter(const CompileResult &result, const std::string &name)
+routingCounter(const CompileResult &result, PassCounter counter)
 {
-    for (const PassProfile &profile : result.pass_profiles) {
-        if (profile.pass != PassId::Routing)
-            continue;
-        for (const PassCounter &counter : profile.counters)
-            if (counter.name == name)
-                return counter.value;
-    }
-    ADD_FAILURE() << "routing counter not found: " << name;
-    return 0;
+    EXPECT_TRUE(result.pass_profiles.isTouched(counter))
+        << "routing counter not fed: "
+        << kPassCounters[static_cast<std::size_t>(counter)].name;
+    return result.pass_profiles[counter];
 }
 
 CompileResult
@@ -124,7 +119,6 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
                         4);
     const auto policy = makeResidencyPolicy(ResidencyPolicy::Lookahead, 1,
                                             defaultParams());
-    EXPECT_EQ(policy->kind(), ResidencyPolicy::Lookahead);
     EXPECT_FALSE(policy->persistsAcrossBlocks());
 
     // Stage 1: qubits 0 and 1 idle, next use at stage 3 (distance 2).
@@ -365,12 +359,13 @@ TEST(ResidencyPipelineTest, AccountingInvariantsHoldForEveryPolicy)
             EXPECT_GT(result.metrics.fidelity(), 0.0) << tag;
             // Satellite bugfixes, pinned per policy: the miss split is
             // exact, and no residency span leaks past program end.
-            EXPECT_EQ(routingCounter(result, "parked_no_reuse") +
-                          routingCounter(result, "window_misses"),
-                      routingCounter(result, "lookahead_misses"))
+            EXPECT_EQ(routingCounter(result, PassCounter::ParkedNoReuse) +
+                          routingCounter(result, PassCounter::WindowMisses),
+                      routingCounter(result, PassCounter::LookaheadMisses))
                 << tag;
-            EXPECT_EQ(routingCounter(result, "residency_holds_started"),
-                      routingCounter(result, "residency_holds_ended"))
+            EXPECT_EQ(
+                routingCounter(result, PassCounter::ResidencyHoldsStarted),
+                routingCounter(result, PassCounter::ResidencyHoldsEnded))
                 << tag;
         }
     }
@@ -390,8 +385,8 @@ TEST(ResidencyPipelineTest, LtiFindsCrossBlockReuseTheWindowCannot)
             compileWith(machine, circuit, ResidencyPolicy::Lookahead);
         const auto belady =
             compileWith(machine, circuit, ResidencyPolicy::Lti);
-        EXPECT_EQ(routingCounter(window, "lookahead_hits"), 0u);
-        EXPECT_GT(routingCounter(belady, "lookahead_hits"), 0u);
+        EXPECT_EQ(routingCounter(window, PassCounter::LookaheadHits), 0u);
+        EXPECT_GT(routingCounter(belady, PassCounter::LookaheadHits), 0u);
         EXPECT_LT(belady.schedule.numQubitMoves(),
                   window.schedule.numQubitMoves());
     }
@@ -406,8 +401,8 @@ TEST(ResidencyPipelineTest, LtiFindsCrossBlockReuseTheWindowCannot)
             compileWith(machine, circuit, ResidencyPolicy::Lookahead);
         const auto belady =
             compileWith(machine, circuit, ResidencyPolicy::Lti);
-        EXPECT_GT(routingCounter(belady, "lookahead_hits"),
-                  routingCounter(window, "lookahead_hits"));
+        EXPECT_GT(routingCounter(belady, PassCounter::LookaheadHits),
+                  routingCounter(window, PassCounter::LookaheadHits));
         EXPECT_LT(belady.schedule.numQubitMoves(),
                   window.schedule.numQubitMoves());
     }
@@ -422,7 +417,7 @@ TEST(ResidencyPipelineTest, LtiFindsCrossBlockReuseTheWindowCannot)
             compileWith(machine, circuit, ResidencyPolicy::Lookahead);
         const auto belady =
             compileWith(machine, circuit, ResidencyPolicy::Lti);
-        EXPECT_EQ(routingCounter(belady, "lookahead_hits"), 0u);
+        EXPECT_EQ(routingCounter(belady, PassCounter::LookaheadHits), 0u);
         EXPECT_LE(belady.schedule.numQubitMoves(),
                   window.schedule.numQubitMoves());
     }

@@ -312,33 +312,19 @@ TEST(ReusePipelineTest, ReuseProfilesReportTheNewCounters)
     const auto result =
         compileWith(machine, spec.build(), RoutingStrategy::Reuse);
 
-    const PassProfile *routing = nullptr;
-    for (const PassProfile &profile : result.pass_profiles) {
-        if (profile.pass == PassId::Routing)
-            routing = &profile;
-    }
-    ASSERT_NE(routing, nullptr);
-    std::uint64_t held = 0, saved = 0, hits = 0, relocated = 0;
-    bool saw_misses = false;
-    for (const PassCounter &counter : routing->counters) {
-        if (counter.name == "qubits_held")
-            held = counter.value;
-        if (counter.name == "moves_saved")
-            saved = counter.value;
-        if (counter.name == "lookahead_hits")
-            hits = counter.value;
-        if (counter.name == "reuse_relocations")
-            relocated = counter.value;
-        if (counter.name == "lookahead_misses")
-            saw_misses = true;
-    }
+    const PassProfiles &profiles = result.pass_profiles;
+    ASSERT_GT(profiles[PassId::Routing].invocations, 0u);
+    const std::uint64_t held = profiles[PassCounter::QubitsHeld];
+    const std::uint64_t saved = profiles[PassCounter::MovesSaved];
+    const std::uint64_t hits = profiles[PassCounter::LookaheadHits];
+    const std::uint64_t relocated = profiles[PassCounter::ReuseRelocations];
     EXPECT_GT(held, 0u);
     // Relocated holds trade their park for a compute-zone move, so
     // only the stay-put holds count as moves saved outright.
     EXPECT_EQ(saved, held - relocated);
     EXPECT_GT(saved, 0u);
     EXPECT_GT(hits, 0u);
-    EXPECT_TRUE(saw_misses);
+    EXPECT_TRUE(profiles.isTouched(PassCounter::LookaheadMisses));
 }
 
 TEST(ReusePipelineTest, StorageFreeConfigurationFallsBackToContinuous)

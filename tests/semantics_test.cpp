@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "qasm/converter.hpp"
 #include "qasm/writer.hpp"
-#include "sim/statevector.hpp"
+#include "statevector.hpp"
 
 namespace powermove {
 namespace {

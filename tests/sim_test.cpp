@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "sim/statevector.hpp"
+#include "statevector.hpp"
 
 namespace powermove {
 namespace {

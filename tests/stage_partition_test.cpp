@@ -313,8 +313,7 @@ TEST(StagePartitionPassTest, OptionSelectsThePartitioner)
                             circuit,
                             Layout(machine, 7),
                             std::nullopt,
-                            Rng(options.seed),
-                            PassProfiler(false)};
+                            Rng(options.seed)};
         EXPECT_TRUE(identicalStages(
             StagePartitionPass{}.run(ctx, block),
             strategy == StagePartitionStrategy::Linear ? linear : balanced))

@@ -1,4 +1,4 @@
-#include "sim/statevector.hpp"
+#include "statevector.hpp"
 
 #include <cmath>
 #include <numbers>

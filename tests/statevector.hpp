@@ -12,8 +12,8 @@
  * Ry(theta), matching the writer's emission.
  */
 
-#ifndef POWERMOVE_SIM_STATEVECTOR_HPP
-#define POWERMOVE_SIM_STATEVECTOR_HPP
+#ifndef POWERMOVE_TESTS_STATEVECTOR_HPP
+#define POWERMOVE_TESTS_STATEVECTOR_HPP
 
 #include <complex>
 #include <vector>
@@ -73,4 +73,4 @@ class StateVector
 
 } // namespace powermove
 
-#endif // POWERMOVE_SIM_STATEVECTOR_HPP
+#endif // POWERMOVE_TESTS_STATEVECTOR_HPP

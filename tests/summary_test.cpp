@@ -79,23 +79,26 @@ TEST(PassProfileFormatTest, EmptyProfilesSayNoData)
 
 TEST(PassProfileFormatTest, TableListsPassesSharesAndCounters)
 {
-    PassProfile placement;
-    placement.pass = PassId::Placement;
+    PassProfiles profiles;
+    PassProfile &placement =
+        profiles.passes[static_cast<std::size_t>(PassId::Placement)];
     placement.wall_time = Duration::micros(1.0);
     placement.invocations = 1;
-    placement.counters = {{"qubits_placed", 30}};
+    profiles.add(PassCounter::QubitsPlaced, 30);
 
-    PassProfile routing;
-    routing.pass = PassId::Routing;
+    PassProfile &routing =
+        profiles.passes[static_cast<std::size_t>(PassId::Routing)];
     routing.wall_time = Duration::micros(3.0);
     routing.invocations = 5;
 
-    const auto text = formatPassProfiles({placement, routing});
+    const auto text = formatPassProfiles(profiles);
     EXPECT_NE(text.find("placement"), std::string::npos);
     EXPECT_NE(text.find("routing"), std::string::npos);
     EXPECT_NE(text.find("qubits_placed=30"), std::string::npos);
     EXPECT_NE(text.find("75%"), std::string::npos); // routing share of 4 us
     EXPECT_NE(text.find("25%"), std::string::npos);
+    // Passes that never ran get no row.
+    EXPECT_EQ(text.find("stage-order"), std::string::npos);
 }
 
 } // namespace

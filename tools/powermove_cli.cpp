@@ -744,7 +744,7 @@ main(int argc, char **argv)
     int failures = 0;
     // Per-pass totals over the jobs a worker compiled (cache hits re-run
     // nothing and add nothing), for --stats --profile.
-    std::vector<PassProfile> pass_totals;
+    PassProfiles pass_totals;
     for (InFlight &flight : flights) {
         if (!flight.load_error.empty()) {
             std::fprintf(stderr, "powermove: %s: %s\n", flight.input.c_str(),
@@ -757,7 +757,7 @@ main(int argc, char **argv)
             const CompileResult &result = *out.result;
             validateAgainstCircuit(result.schedule, flight.circuit);
             if (out.source == service::ResultSource::Compiled)
-                mergePassProfiles(pass_totals, result.pass_profiles);
+                pass_totals += result.pass_profiles;
 
             std::printf("%s: %zu qubits, %zu CZ gates, %zu 1Q gates%s\n",
                         flight.input.c_str(), flight.circuit.numQubits(),
