@@ -4,9 +4,8 @@
  *
  * Where the evaluator reduces a schedule to the Eq. (1) scalars, the
  * trace keeps the time axis: per-instruction start times and durations,
- * per-qubit storage dwell, and movement statistics. Used by the
- * examples, by the ablation analysis, and wherever "where does the time
- * go?" needs an answer.
+ * per-qubit storage dwell, and movement statistics. The schedule-export
+ * example prints it; no bench or production path calls it.
  */
 
 #ifndef POWERMOVE_FIDELITY_TRACE_HPP

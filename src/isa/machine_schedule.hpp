@@ -4,9 +4,9 @@
  *
  * A MachineSchedule couples an initial qubit placement with the ordered
  * instruction stream produced by a compiler. It is the single artifact
- * consumed by the validator (hardware legality + circuit completeness)
- * and by the fidelity/time evaluator, so both compilers — PowerMove and
- * the Enola baseline — are scored by exactly the same machinery.
+ * the validator replays, checking hardware legality (and circuit
+ * completeness) while it scores fidelity and time, so both compilers —
+ * PowerMove and the Enola baseline — are scored by the same machinery.
  */
 
 #ifndef POWERMOVE_ISA_MACHINE_SCHEDULE_HPP

@@ -1,6 +1,7 @@
 #include "isa/validator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -25,21 +26,26 @@ capacityOf(const Machine &machine, SiteId site)
     return machine.zoneOf(site) == ZoneKind::Compute ? 2 : 1;
 }
 
+/** Integer power of a fidelity factor, numerically stable in log space. */
+double
+fidelityPower(double base, std::size_t exponent)
+{
+    if (exponent == 0)
+        return 1.0;
+    return std::exp(static_cast<double>(exponent) * std::log(base));
+}
+
 /**
- * Site occupancy of a schedule being replayed.
- *
- * Every count change keeps two tallies current: the number of sites
- * over capacity and the number of compute sites holding exactly two
- * atoms. A pulse then checks capacity in O(1) and blockade in
- * O(gates). The O(sites) scans run only when a tally shows a violation,
- * and they report the lowest offending site, as a full census would.
+ * Site occupancy and Eq. (1) score of a schedule being replayed; the
+ * file comment of isa/validator.hpp explains its tallies and clocks.
  */
 class Replay
 {
   public:
     Replay(const Machine &machine, std::vector<SiteId> positions)
-        : machine_(machine), positions_(std::move(positions)),
-          count_(machine.numSites(), 0), mark_(positions_.size(), 0)
+        : machine_(machine), params_(machine.params()),
+          positions_(std::move(positions)), count_(machine.numSites(), 0),
+          mark_(positions_.size(), 0), residency_(positions_.size())
     {
         for (QubitId q = 0; q < positions_.size(); ++q) {
             const SiteId site = positions_[q];
@@ -67,7 +73,7 @@ class Replay
     }
 
     void
-    checkPulse(const RydbergOp &pulse)
+    applyPulse(const RydbergOp &pulse)
     {
         if (pulse.gates.empty())
             fail("empty Rydberg pulse");
@@ -113,6 +119,26 @@ class Replay
         // count; any other pair is an unwanted blockade interaction.
         if (pairs_ != pulse.gates.size())
             reportUnwantedPair(pulse);
+
+        // The global pulse excites every compute-zone atom it does not
+        // gate; a gated qubit is busy, not idle, so its stamp skips it.
+        score_.exec_time += params_.t_cz;
+        ++score_.pulses;
+        score_.cz_gates += pulse.gates.size();
+        score_.excitation_exposures += compute_atoms_ - 2 * pulse.gates.size();
+        for (const auto &gate : pulse.gates) {
+            ++residency_[gate.a].pulse_stamp;
+            ++residency_[gate.b].pulse_stamp;
+        }
+        ++pulse_clock_;
+    }
+
+    /** Raman layers address every qubit in parallel: no idle time. */
+    void
+    applyOneQLayer(const OneQLayerOp &layer)
+    {
+        score_.exec_time += params_.t_one_q * static_cast<double>(layer.depth);
+        score_.one_q_gates += layer.gate_count;
     }
 
     void
@@ -146,23 +172,77 @@ class Replay
                 }
             }
         }
+        // A mover into the compute zone idles from this batch's start,
+        // a mover out of it until the batch's end.
+        const Duration t = op.batch.duration(machine_);
+        const double start_us = move_clock_us_;
+        move_clock_us_ += t.micros();
         for (const auto &group : op.batch.groups) {
             for (const auto &move : group.moves) {
+                if (isCompute(move.from) && !isCompute(move.to)) {
+                    closeResidency(move.qubit);
+                } else if (!isCompute(move.from) && isCompute(move.to)) {
+                    residency_[move.qubit].move_stamp_us = start_us;
+                    residency_[move.qubit].pulse_stamp = pulse_clock_;
+                }
                 leave(move.from);
                 enter(move.to);
                 positions_[move.qubit] = move.to;
             }
         }
+        score_.exec_time += t;
+        score_.transfers += 2 * op.batch.numMoves();
+    }
+
+    /** Closes the residencies open at program end; call once, last. */
+    FidelityBreakdown
+    finish()
+    {
+        FidelityBreakdown result = score_;
+        result.one_q_factor =
+            fidelityPower(params_.f_one_q, score_.one_q_gates);
+        result.two_q_factor = fidelityPower(params_.f_cz, score_.cz_gates);
+        result.excitation_factor =
+            fidelityPower(params_.f_excitation, score_.excitation_exposures);
+        result.transfer_factor =
+            fidelityPower(params_.f_transfer, score_.transfers);
+        double total_idle_us = 0.0;
+        for (QubitId q = 0; q < positions_.size(); ++q) {
+            if (isCompute(positions_[q]))
+                closeResidency(q);
+            total_idle_us += residency_[q].idle_us;
+            result.decoherence_factor *= std::max(
+                0.0, 1.0 - residency_[q].idle_us / params_.t2.micros());
+        }
+        result.total_idle = Duration::micros(total_idle_us);
+        return result;
     }
 
   private:
+    bool
+    isCompute(SiteId site) const
+    {
+        return machine_.zoneOf(site) == ZoneKind::Compute;
+    }
+
+    /** Charges qubit @p q the clocks' run since its residency began. */
+    void
+    closeResidency(QubitId q)
+    {
+        Residency &r = residency_[q];
+        r.idle_us += (move_clock_us_ - r.move_stamp_us) +
+                     static_cast<double>(pulse_clock_ - r.pulse_stamp) *
+                         params_.t_cz.micros();
+    }
+
     void
     enter(SiteId site)
     {
         const std::size_t now = ++count_[site];
         if (now == capacityOf(machine_, site) + 1)
             ++over_capacity_;
-        if (machine_.zoneOf(site) == ZoneKind::Compute) {
+        if (isCompute(site)) {
+            ++compute_atoms_;
             if (now == 2)
                 ++pairs_;
             else if (now == 3)
@@ -176,7 +256,8 @@ class Replay
         const std::size_t was = count_[site]--;
         if (was == capacityOf(machine_, site) + 1)
             --over_capacity_;
-        if (machine_.zoneOf(site) == ZoneKind::Compute) {
+        if (isCompute(site)) {
+            --compute_atoms_;
             if (was == 2)
                 --pairs_;
             else if (was == 3)
@@ -216,6 +297,7 @@ class Replay
     }
 
     const Machine &machine_;
+    const HardwareParams &params_;
     std::vector<SiteId> positions_;
     std::vector<std::size_t> count_;
     /** Sites holding more atoms than their capacity. */
@@ -225,11 +307,31 @@ class Replay
     /** Per-qubit stamp: equals epoch_ once seen in the current check. */
     std::vector<std::size_t> mark_;
     std::size_t epoch_ = 0;
+
+    /** Atoms in the compute zone. */
+    std::size_t compute_atoms_ = 0;
+    /** Counts and execution time, summed in instruction order. */
+    FidelityBreakdown score_;
+    /** The idle clocks: summed move-batch time and pulse count so far. */
+    double move_clock_us_ = 0.0;
+    std::size_t pulse_clock_ = 0;
+    /**
+     * Per qubit: idle time of its closed compute-zone residencies, and
+     * the clocks when the open one began (gated pulses advance the
+     * pulse stamp).
+     */
+    struct Residency
+    {
+        double idle_us = 0.0;
+        double move_stamp_us = 0.0;
+        std::size_t pulse_stamp = 0;
+    };
+    std::vector<Residency> residency_;
 };
 
 } // namespace
 
-void
+FidelityBreakdown
 validateSchedule(const MachineSchedule &schedule)
 {
     if (schedule.initialSites().empty())
@@ -240,20 +342,22 @@ validateSchedule(const MachineSchedule &schedule)
 
     for (const auto &instruction : schedule.instructions()) {
         if (const auto *pulse = std::get_if<RydbergOp>(&instruction)) {
-            replay.checkPulse(*pulse);
+            replay.applyPulse(*pulse);
         } else if (const auto *batch = std::get_if<MoveBatchOp>(&instruction)) {
             replay.applyMoveBatch(*batch);
+        } else {
+            replay.applyOneQLayer(std::get<OneQLayerOp>(instruction));
         }
-        // 1Q layers have no placement effect.
     }
 
     replay.checkCapacity();
+    return replay.finish();
 }
 
-void
+FidelityBreakdown
 validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
 {
-    validateSchedule(schedule);
+    const FidelityBreakdown breakdown = validateSchedule(schedule);
 
     if (schedule.numQubits() != circuit.numQubits())
         fail("schedule and circuit disagree on qubit count");
@@ -265,14 +369,12 @@ validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
     // Group pulse gates by source block and compare multisets.
     std::map<std::size_t, std::vector<CzGate>> by_block;
     std::size_t last_block = 0;
-    bool first = true;
     for (const auto &instruction : schedule.instructions()) {
         const auto *pulse = std::get_if<RydbergOp>(&instruction);
         if (pulse == nullptr)
             continue;
-        if (!first && pulse->block_index < last_block)
+        if (pulse->block_index < last_block)
             fail("Rydberg pulses execute blocks out of order");
-        first = false;
         last_block = pulse->block_index;
         auto &bucket = by_block[pulse->block_index];
         for (const auto &gate : pulse->gates)
@@ -297,6 +399,7 @@ validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
             fail("block " + std::to_string(b) +
                  " executes a different gate multiset than the circuit");
     }
+    return breakdown;
 }
 
 } // namespace powermove

@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine-schedule validation.
+ * Machine-schedule validation and Eq. (1) scoring.
  *
  * The validator replays a compiled program against the machine model and
  * enforces every hardware rule the compilers must respect:
@@ -19,12 +19,23 @@
  * Every gate qubit and every move's qubit and sites are range-checked
  * before use, so a corrupt schedule fails with ValidationError.
  *
- * Cost: the replay takes one O(sites) census at program start, then
- * O(moves + gates) per instruction. Occupancy counts keep tallies of
- * over-capacity sites and of two-atom compute sites current, and since
- * a pulse's gates sit on distinct two-atom compute sites, there is no
- * unwanted blockade exactly when the pair tally equals the gate count.
- * An O(sites) scan runs only on a failure path, to report the lowest
+ * The same replay scores each instruction that passes its checks into
+ * the Eq. (1) breakdown. Timing (paper Table 1, Sec. 6.2): a 1Q layer
+ * takes depth * t_1q, a move batch 2 * t_transfer plus its slowest move,
+ * a pulse t_cz. A pulse excites every compute-zone qubit it does not
+ * gate. A qubit idles through every instruction in which it neither
+ * executes a gate nor stays in storage (in storage both before and
+ * after: transit is unprotected).
+ *
+ * Cost: one O(sites) census at program start, O(moves + gates) per
+ * instruction, O(num_qubits) at the end. Occupancy counts keep tallies
+ * of over-capacity sites, two-atom compute sites and compute-zone atoms.
+ * As a pulse's gates sit on distinct two-atom compute sites, it has no
+ * unwanted blockade exactly when the pair tally equals the gate count,
+ * and it excites the atom tally minus twice the gate count. Idle time is
+ * charged per compute-zone residency from two global clocks (summed
+ * move-batch time, pulse count) stamped at entry, read at exit. An
+ * O(sites) scan runs only on a failure path, to report the lowest
  * offending site, so the first error and its text match a full census.
  *
  * validateAgainstCircuit() additionally proves completeness: the pulses
@@ -36,19 +47,24 @@
 #define POWERMOVE_ISA_VALIDATOR_HPP
 
 #include "circuit/circuit.hpp"
+#include "fidelity/breakdown.hpp"
 #include "isa/machine_schedule.hpp"
 
 namespace powermove {
 
-/** Replays @p schedule; throws ValidationError on any hardware violation. */
-void validateSchedule(const MachineSchedule &schedule);
+/**
+ * Replays @p schedule and returns its fidelity/time breakdown; throws
+ * ValidationError on any hardware violation.
+ */
+FidelityBreakdown validateSchedule(const MachineSchedule &schedule);
 
 /**
  * Validates hardware legality and completeness against the source
- * circuit; throws ValidationError on any mismatch.
+ * circuit and returns the schedule's breakdown; throws ValidationError
+ * on any mismatch.
  */
-void validateAgainstCircuit(const MachineSchedule &schedule,
-                            const Circuit &circuit);
+FidelityBreakdown validateAgainstCircuit(const MachineSchedule &schedule,
+                                         const Circuit &circuit);
 
 } // namespace powermove
 

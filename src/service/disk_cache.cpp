@@ -591,10 +591,12 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
         std::fclose(file);
     }
 
-    bool ok = blob.size() >= kHeaderSize &&
-              std::memcmp(blob.data(), kMagic, sizeof(kMagic)) == 0 &&
-              readU32(blob.data() + 4) == kFormatVersion &&
-              readU64(blob.data() + 8) == fingerprint;
+    // An intact entry of another format version is stale, not corrupt.
+    const bool framed = blob.size() >= kHeaderSize &&
+                        std::memcmp(blob.data(), kMagic, sizeof(kMagic)) == 0;
+    const std::uint32_t version = framed ? readU32(blob.data() + 4) : 0;
+    const bool stale = framed && version != kFormatVersion;
+    bool ok = framed && !stale && readU64(blob.data() + 8) == fingerprint;
     std::shared_ptr<const CompileResult> result;
     if (ok) {
         const std::uint64_t payload_size = readU64(blob.data() + 16);
@@ -612,7 +614,8 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
     std::unique_lock<std::mutex> lock(mutex_);
     if (!ok) {
         ++misses_;
-        ++corrupt_;
+        if (!stale)
+            ++corrupt_;
         dropIndexEntry(fingerprint);
         const std::size_t entries = index_.size();
         const std::uint64_t resident = resident_bytes_;
@@ -621,12 +624,16 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
         std::filesystem::remove(path, ec);
         if (obs_ != nullptr) {
             metric_.misses->add(1);
-            metric_.corrupt->add(1);
             metric_.read_bytes->add(blob.size());
             publishResidency(entries, resident);
-            obs_->log.warn("disk_cache_corrupt",
-                           {{"path", path.string()},
-                            {"bytes", blob.size()}});
+            if (stale) {
+                obs_->log.info("disk_cache_stale", {{"path", path.string()},
+                                                    {"version", version}});
+            } else {
+                metric_.corrupt->add(1);
+                obs_->log.warn("disk_cache_corrupt", {{"path", path.string()},
+                                                      {"bytes", blob.size()}});
+            }
         }
         return nullptr;
     }

@@ -15,8 +15,9 @@
  *    fingerprint, payload size, FNV-1a payload checksum) followed by the
  *    serialized result. load() re-checks all five; any mismatch — a
  *    truncated write, a flipped bit, a stale format — is treated as a
- *    miss and the offending file is deleted. Corruption can cost a
- *    recompile, never a wrong schedule and never a crash.
+ *    miss and the offending file is deleted (only a stale format is not
+ *    counted as corrupt). Corruption can cost a recompile, never a wrong
+ *    schedule and never a crash.
  *  - store() writes to a unique temp file in the cache directory and
  *    renames it into place, so readers (in this process or another) only
  *    ever observe complete entries; a torn write leaves at most a stale
@@ -105,8 +106,8 @@ class DiskCache
     /**
      * Loads the entry for @p fingerprint, reconstructing its schedule
      * against @p machine (which must be the machine of the job that
-     * produced the fingerprint). Returns nullptr on a miss; a corrupt or
-     * truncated entry counts as a miss and is deleted.
+     * produced the fingerprint). Returns nullptr on a miss; a corrupt,
+     * truncated or stale-format entry counts as a miss and is deleted.
      */
     std::shared_ptr<const CompileResult> load(std::uint64_t fingerprint,
                                               const Machine &machine);

@@ -263,8 +263,10 @@ TEST(DiskCacheTest, PreviousFormatVersionIsAMissAndIsDeleted)
         file.put(static_cast<char>(previous >> (8 * i)));
     file.close();
 
+    // Stale, not corrupt: a miss, and the file is swept.
     EXPECT_EQ(cache.load(key, machine), nullptr);
-    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_FALSE(fs::exists(entry));
 }
 

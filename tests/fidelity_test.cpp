@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "fidelity/evaluator.hpp"
 
 namespace powermove {
@@ -69,11 +70,25 @@ TEST_F(FidelityTest, StorageShieldsFromExcitation)
 
 TEST_F(FidelityTest, TransferCountsTwoPerMove)
 {
+    // Two single-move Coll-Moves in one batch (one Coll-Move carrying
+    // both would reverse their column order).
     MachineSchedule schedule(machine_, {0, 1, 2});
-    schedule.addMoveBatch(batchOf({{1, 1, 0}, {2, 2, 5}}));
+    AodBatch batch;
+    batch.groups.push_back(CollMove{{{1, 1, 0}}});
+    batch.groups.push_back(CollMove{{{2, 2, 5}}});
+    schedule.addMoveBatch(batch);
     const auto result = evaluateSchedule(schedule);
     EXPECT_EQ(result.transfers, 4u);
     EXPECT_NEAR(result.transfer_factor, std::pow(0.999, 4), 1e-12);
+}
+
+TEST_F(FidelityTest, AodIllegalScheduleThrows)
+{
+    // Qubit 1 moves left of qubit 2's column while qubit 2 moves right:
+    // one AOD cannot carry both.
+    MachineSchedule schedule(machine_, {0, 1, 2});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}, {2, 2, 5}}));
+    EXPECT_THROW(evaluateSchedule(schedule), ValidationError);
 }
 
 TEST_F(FidelityTest, MoveBatchTimeAndIdleAccounting)
@@ -112,6 +127,51 @@ TEST_F(FidelityTest, MovingIntoStorageStillCostsTransitTime)
     const auto result = evaluateSchedule(schedule);
     // In transit toward storage: unprotected during the move itself.
     EXPECT_GT(result.total_idle.micros(), 0.0);
+}
+
+TEST_F(FidelityTest, StorageToStorageMoverAccruesNoIdleTime)
+{
+    const auto storage = machine_.storageSites();
+    MachineSchedule schedule(machine_, {storage[0]});
+    schedule.addMoveBatch(batchOf({{0, storage[0], storage[1]}}));
+    const auto result = evaluateSchedule(schedule);
+    EXPECT_GT(result.exec_time.micros(), 0.0);
+    EXPECT_DOUBLE_EQ(result.total_idle.micros(), 0.0);
+    EXPECT_DOUBLE_EQ(result.decoherence_factor, 1.0);
+}
+
+TEST_F(FidelityTest, StorageToComputeMoverIsChargedForItsOwnBatch)
+{
+    const auto storage = machine_.storageSites();
+    MachineSchedule schedule(machine_, {storage[0], storage[1]});
+    schedule.addMoveBatch(batchOf({{0, storage[0], 0}}));
+    const auto result = evaluateSchedule(schedule);
+    // Unprotected for the whole batch that brings it out; the qubit left
+    // in storage accrues nothing.
+    EXPECT_DOUBLE_EQ(result.total_idle.micros(), result.exec_time.micros());
+}
+
+TEST_F(FidelityTest, ComputeQubitGatedInSomePulsesIdlesInTheRest)
+{
+    // Qubit 0 stays on compute site 0 through four pulses and is gated
+    // only in the first; qubits 2 and 3 are gated in all four; qubit 1
+    // leaves for storage after the first pulse.
+    const auto storage = machine_.storageSites();
+    ASSERT_EQ(machine_.zoneOf(2), ZoneKind::Compute);
+    MachineSchedule schedule(machine_, {0, 0, 2, 2});
+    schedule.addRydberg({CzGate{0, 1}, CzGate{2, 3}}, 0);
+    const AodBatch away = batchOf({{1, 0, storage[0]}});
+    schedule.addMoveBatch(away);
+    for (int pulse = 0; pulse < 3; ++pulse)
+        schedule.addRydberg({CzGate{2, 3}}, 0);
+    const auto result = evaluateSchedule(schedule);
+
+    const double batch_us = away.duration(machine_).micros();
+    const double t_cz = machine_.params().t_cz.micros();
+    // Every qubit is unprotected during the batch; qubit 0 also idles
+    // through the three pulses that do not gate it.
+    EXPECT_EQ(result.excitation_exposures, 3u);
+    EXPECT_NEAR(result.total_idle.micros(), 4 * batch_us + 3 * t_cz, 1e-9);
 }
 
 TEST_F(FidelityTest, OneQLayerTimeUsesDepth)

@@ -1,11 +1,11 @@
-#include "fidelity/evaluator.hpp"
+#include "reference_evaluator.hpp"
 
 #include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
 
-namespace powermove {
+namespace powermove::reference {
 
 namespace {
 
@@ -104,4 +104,4 @@ evaluateSchedule(const MachineSchedule &schedule)
     return result;
 }
 
-} // namespace powermove
+} // namespace powermove::reference
