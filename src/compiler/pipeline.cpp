@@ -7,7 +7,7 @@
 #include "collsched/intra_stage.hpp"
 #include "collsched/multi_aod.hpp"
 #include "common/error.hpp"
-#include "fidelity/evaluator.hpp"
+#include "isa/validator.hpp"
 #include "placement/routing_aware.hpp"
 #include "route/grouping.hpp"
 #include "schedule/stage_order.hpp"
@@ -345,7 +345,7 @@ Pipeline::run(const Circuit &circuit) const
                          ctx.num_stages,
                          ctx.num_coll_moves,
                          ctx.profiles};
-    result.metrics = evaluateSchedule(result.schedule);
+    result.metrics = validateAgainstCircuit(result.schedule, circuit);
     return result;
 }
 

@@ -192,7 +192,7 @@ class Pipeline
      */
     Pipeline(const Machine &machine, CompilerOptions options);
 
-    /** Runs every pass over @p circuit and evaluates the result. */
+    /** Runs every pass over @p circuit, then validates and scores it. */
     CompileResult run(const Circuit &circuit) const;
 
     const CompilerOptions &options() const { return options_; }

@@ -44,8 +44,9 @@ class PowerMoveCompiler
                                CompilerOptions options = {});
 
     /**
-     * Compiles @p circuit into a machine schedule and evaluates it.
-     * Throws ConfigError if the machine cannot hold the circuit.
+     * Compiles @p circuit into a machine schedule proven legal and
+     * complete by the validator, which also scores it. Throws
+     * ConfigError if the machine cannot hold the circuit.
      */
     CompileResult compile(const Circuit &circuit) const;
 

@@ -5,7 +5,7 @@
 #include "collsched/multi_aod.hpp"
 #include "common/error.hpp"
 #include "enola/mis.hpp"
-#include "fidelity/evaluator.hpp"
+#include "isa/validator.hpp"
 
 
 namespace powermove {
@@ -121,7 +121,7 @@ EnolaCompiler::compile(const Circuit &circuit) const
     // No pass_profiles: the baseline is not the pass pipeline.
     CompileResult result{std::move(schedule), {}, Duration::micros(elapsed_us),
                          num_stages, num_coll_moves, {}};
-    result.metrics = evaluateSchedule(result.schedule);
+    result.metrics = validateAgainstCircuit(result.schedule, circuit);
     return result;
 }
 

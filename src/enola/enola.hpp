@@ -88,7 +88,7 @@ class EnolaCompiler
   public:
     explicit EnolaCompiler(const Machine &machine, EnolaOptions options = {});
 
-    /** Compiles @p circuit with the Enola scheme and evaluates it. */
+    /** Compiles @p circuit with the Enola scheme, validated and scored. */
     CompileResult compile(const Circuit &circuit) const;
 
     const EnolaOptions &options() const { return options_; }

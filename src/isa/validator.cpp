@@ -354,11 +354,9 @@ validateSchedule(const MachineSchedule &schedule)
     return replay.finish();
 }
 
-FidelityBreakdown
-validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
+void
+validateCompleteness(const MachineSchedule &schedule, const Circuit &circuit)
 {
-    const FidelityBreakdown breakdown = validateSchedule(schedule);
-
     if (schedule.numQubits() != circuit.numQubits())
         fail("schedule and circuit disagree on qubit count");
     if (schedule.numOneQGates() != circuit.numOneQGates())
@@ -399,6 +397,13 @@ validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
             fail("block " + std::to_string(b) +
                  " executes a different gate multiset than the circuit");
     }
+}
+
+FidelityBreakdown
+validateAgainstCircuit(const MachineSchedule &schedule, const Circuit &circuit)
+{
+    const FidelityBreakdown breakdown = validateSchedule(schedule);
+    validateCompleteness(schedule, circuit);
     return breakdown;
 }
 

@@ -38,9 +38,13 @@
  * O(sites) scan runs only on a failure path, to report the lowest
  * offending site, so the first error and its text match a full census.
  *
- * validateAgainstCircuit() additionally proves completeness: the pulses
+ * validateCompleteness() proves, without a replay, that the pulses
  * execute exactly the source circuit's CZ gates, block by block and in
- * block order, and the 1Q gate count matches.
+ * block order, and that the 1Q gate count matches;
+ * validateAgainstCircuit() runs both. Each result is checked once, where
+ * it comes into being: the compilers call validateAgainstCircuit(), a
+ * disk-cache decode validateSchedule(), and JobService
+ * validateCompleteness() on a disk hit.
  */
 
 #ifndef POWERMOVE_ISA_VALIDATOR_HPP
@@ -57,6 +61,10 @@ namespace powermove {
  * ValidationError on any hardware violation.
  */
 FidelityBreakdown validateSchedule(const MachineSchedule &schedule);
+
+/** Throws ValidationError unless @p schedule executes @p circuit. */
+void validateCompleteness(const MachineSchedule &schedule,
+                          const Circuit &circuit);
 
 /**
  * Validates hardware legality and completeness against the source

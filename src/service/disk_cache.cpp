@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "isa/validator.hpp"
 #include "service/fingerprint.hpp"
 
 namespace powermove::service {
@@ -18,7 +19,8 @@ namespace {
 /*
  * Payload encoding: little-endian u64 for every integer, IEEE-754 bit
  * patterns for doubles, one tag byte per instruction, and fixed-width
- * pass profiles (every pass, then every counter). The encoding is
+ * pass profiles (every pass, then every counter); no Eq. (1) breakdown,
+ * which decoding recomputes with the validator's replay. The encoding is
  * canonical — one result has exactly one serialization — which is what
  * lets the tests use byte equality of serializations as the
  * "bit-identical schedule" witness.
@@ -129,32 +131,6 @@ writeBreakdown(ByteWriter &out, const FidelityBreakdown &metrics)
     out.f64(metrics.excitation_factor);
     out.f64(metrics.transfer_factor);
     out.f64(metrics.decoherence_factor);
-}
-
-bool
-readBreakdown(ByteReader &in, FidelityBreakdown &metrics)
-{
-    std::uint64_t counts[5];
-    for (std::uint64_t &value : counts)
-        if (!in.u64(value))
-            return false;
-    metrics.one_q_gates = static_cast<std::size_t>(counts[0]);
-    metrics.cz_gates = static_cast<std::size_t>(counts[1]);
-    metrics.excitation_exposures = static_cast<std::size_t>(counts[2]);
-    metrics.transfers = static_cast<std::size_t>(counts[3]);
-    metrics.pulses = static_cast<std::size_t>(counts[4]);
-
-    double micros = 0.0;
-    if (!in.f64(micros))
-        return false;
-    metrics.exec_time = Duration::micros(micros);
-    if (!in.f64(micros))
-        return false;
-    metrics.total_idle = Duration::micros(micros);
-    return in.f64(metrics.one_q_factor) && in.f64(metrics.two_q_factor) &&
-           in.f64(metrics.excitation_factor) &&
-           in.f64(metrics.transfer_factor) &&
-           in.f64(metrics.decoherence_factor);
 }
 
 void
@@ -300,7 +276,7 @@ readSchedule(ByteReader &in, const Machine &machine,
 }
 
 // One payload slot per PassCounter: a new counter is a new layout.
-static_assert(kNumPassCounters == 27 && DiskCache::kFormatVersion == 2,
+static_assert(kNumPassCounters == 27 && DiskCache::kFormatVersion == 3,
               "bump DiskCache::kFormatVersion with the PassCounter list");
 
 void
@@ -423,7 +399,6 @@ serializeCompileResult(const CompileResult &result)
 {
     ByteWriter out;
     writeSchedule(out, result.schedule);
-    writeBreakdown(out, result.metrics);
     out.f64(result.compile_time.micros());
     out.u64(result.num_stages);
     out.u64(result.num_coll_moves);
@@ -454,26 +429,27 @@ deserializeCompileResult(std::string_view payload, const Machine &machine)
 {
     ByteReader in(payload);
     std::unique_ptr<MachineSchedule> schedule;
-    FidelityBreakdown metrics;
     double compile_micros = 0.0;
     std::uint64_t num_stages = 0;
     std::uint64_t num_coll_moves = 0;
     PassProfiles profiles;
     try {
         if (!readSchedule(in, machine, schedule) ||
-            !readBreakdown(in, metrics) || !in.f64(compile_micros) ||
-            !in.u64(num_stages) || !in.u64(num_coll_moves) ||
-            !readProfiles(in, profiles) || !in.done())
+            !in.f64(compile_micros) || !in.u64(num_stages) ||
+            !in.u64(num_coll_moves) || !readProfiles(in, profiles) ||
+            !in.done())
             return nullptr;
+        const FidelityBreakdown metrics = validateSchedule(*schedule);
+        return std::make_shared<const CompileResult>(CompileResult{
+            std::move(*schedule), metrics, Duration::micros(compile_micros),
+            static_cast<std::size_t>(num_stages),
+            static_cast<std::size_t>(num_coll_moves), std::move(profiles)});
     } catch (...) {
-        // Replay tripped a schedule invariant the field checks missed;
-        // corrupt data must read as a miss, never as an exception.
+        // The rebuild tripped a schedule invariant the field checks
+        // missed, or the replay found an illegal schedule: corrupt data
+        // reads as a miss, never as an exception.
         return nullptr;
     }
-    return std::make_shared<const CompileResult>(CompileResult{
-        std::move(*schedule), metrics, Duration::micros(compile_micros),
-        static_cast<std::size_t>(num_stages),
-        static_cast<std::size_t>(num_coll_moves), std::move(profiles)});
 }
 
 DiskCache::DiskCache(DiskCacheOptions options)

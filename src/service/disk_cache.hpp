@@ -13,11 +13,13 @@
  *
  *  - Every entry is a versioned header (magic, format version,
  *    fingerprint, payload size, FNV-1a payload checksum) followed by the
- *    serialized result. load() re-checks all five; any mismatch — a
- *    truncated write, a flipped bit, a stale format — is treated as a
- *    miss and the offending file is deleted (only a stale format is not
- *    counted as corrupt). Corruption can cost a recompile, never a wrong
- *    schedule and never a crash.
+ *    serialized result. load() re-checks all five, then replays the
+ *    decoded schedule through the validator, which proves it legal and
+ *    recomputes its Eq. (1) score (entries store none). Any failure — a
+ *    truncated write, a flipped bit, a stale format, an illegal
+ *    schedule — is a miss and the offending file is deleted (only a
+ *    stale format is not counted as corrupt). Corruption can cost a
+ *    recompile, never an illegal schedule and never a crash.
  *  - store() writes to a unique temp file in the cache directory and
  *    renames it into place, so readers (in this process or another) only
  *    ever observe complete entries; a torn write leaves at most a stale
@@ -27,10 +29,10 @@
  *    holds across restarts too.
  *
  * Determinism contract: serialization is exact — doubles travel as
- * IEEE-754 bit patterns, and deserialization rebuilds the MachineSchedule
- * by replaying its instruction stream — so a result served from disk is
- * byte-identical to the freshly compiled one (disk_cache_test locks
- * this).
+ * IEEE-754 bit patterns, and deserialization rebuilds and rescores the
+ * MachineSchedule by replaying its instruction stream — so a result
+ * served from disk is byte-identical to the freshly compiled one
+ * (disk_cache_test locks this).
  *
  * Thread safety: every public member may be called from any thread. The
  * index mutex is held only for map bookkeeping; serialization and file
@@ -75,7 +77,7 @@ struct DiskCacheStats
     std::size_t misses = 0;
     /** Entries written (temp-file + rename completed). */
     std::size_t stores = 0;
-    /** Entries dropped because a header/checksum/decode check failed. */
+    /** Entries dropped: a header/checksum/decode/replay check failed. */
     std::size_t corrupt = 0;
     /** Entries dropped to respect the byte budget. */
     std::size_t evictions = 0;
@@ -90,7 +92,7 @@ class DiskCache
 {
   public:
     /** On-disk format version; bump on any serialization change. */
-    static constexpr std::uint32_t kFormatVersion = 2;
+    static constexpr std::uint32_t kFormatVersion = 3;
 
     /**
      * Opens (creating if needed) the cache at @p options.dir and indexes
@@ -107,7 +109,8 @@ class DiskCache
      * Loads the entry for @p fingerprint, reconstructing its schedule
      * against @p machine (which must be the machine of the job that
      * produced the fingerprint). Returns nullptr on a miss; a corrupt,
-     * truncated or stale-format entry counts as a miss and is deleted.
+     * truncated, stale-format or illegal entry counts as a miss and is
+     * deleted.
      */
     std::shared_ptr<const CompileResult> load(std::uint64_t fingerprint,
                                               const Machine &machine);
@@ -200,14 +203,16 @@ std::string serializeCompileResult(const CompileResult &result);
  * per-pass wall times) are excluded. Two independent compilations of
  * the same job are bit-identical iff their witnesses are equal, which
  * is exactly the equality the determinism tests assert across the
- * compiled/memory/disk serving tiers.
+ * compiled/memory/disk serving tiers, including that a decode replay
+ * rescored the schedule bit for bit (the payload holds no metrics).
  */
 std::string serializeResultWitness(const CompileResult &result);
 
 /**
- * Decodes a serializeCompileResult() payload against @p machine.
- * Returns nullptr on any structural violation (truncation, out-of-range
- * site or qubit ids, counts exceeding the payload) — never throws on
+ * Decodes a serializeCompileResult() payload against @p machine and
+ * scores it with validateSchedule(). Returns nullptr on any structural
+ * violation (truncation, out-of-range site or qubit ids, counts
+ * exceeding the payload) or illegal schedule — never throws on
  * malformed bytes and never fabricates a partial result.
  */
 std::shared_ptr<const CompileResult>

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "compiler/powermove.hpp"
+#include "isa/validator.hpp"
 #include "service/fingerprint.hpp"
 
 namespace powermove::service {
@@ -384,6 +385,22 @@ JobService::internMachine(Shard &shard, const MachineConfig &config,
 }
 
 void
+JobService::expireWaiters(std::vector<Waiter> &waiters)
+{
+    {
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+        expired_ += waiters.size();
+    }
+    for (Waiter &waiter : waiters) {
+        recordState(waiter.id, JobState::Expired,
+                    "expired: deadline passed while queued");
+        traceJob(waiter.id, {});
+        waiter.promise.set_exception(std::make_exception_ptr(
+            ExpiredError("deadline passed while queued")));
+    }
+}
+
+void
 JobService::workerLoop(Shard &shard)
 {
     std::unique_lock<std::mutex> lock(shard.mutex);
@@ -430,26 +447,19 @@ JobService::workerLoop(Shard &shard)
         }
         pending.waiters = std::move(live);
 
-        if (pending.waiters.empty()) {
-            // Everyone expired: skip the compilation entirely.
-            shard.pending.erase(it);
+        if (!expired_waiters.empty()) {
+            // If everyone expired, skip the compilation entirely.
+            const bool skip = pending.waiters.empty();
+            if (skip)
+                shard.pending.erase(it);
             const bool now_idle = shard.pending.empty();
             lock.unlock();
-            {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                expired_ += expired_waiters.size();
-            }
-            for (Waiter &waiter : expired_waiters) {
-                recordState(waiter.id, JobState::Expired,
-                            "expired: deadline passed while queued");
-                traceJob(waiter.id, {});
-                waiter.promise.set_exception(std::make_exception_ptr(
-                    ExpiredError("deadline passed while queued")));
-            }
+            expireWaiters(expired_waiters);
             if (now_idle)
                 shard.idle.notify_all();
             lock.lock();
-            continue;
+            if (skip)
+                continue;
         }
 
         std::vector<JobId> live_ids;
@@ -468,19 +478,6 @@ JobService::workerLoop(Shard &shard)
             const Circuit &circuit = pending.job.circuit;
             lock.unlock();
 
-            if (!expired_waiters.empty()) {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                expired_ += expired_waiters.size();
-            }
-            for (Waiter &waiter : expired_waiters) {
-                recordState(waiter.id, JobState::Expired,
-                            "expired: deadline passed while queued");
-                traceJob(waiter.id, {});
-                waiter.promise.set_exception(std::make_exception_ptr(
-                    ExpiredError("deadline passed while queued")));
-            }
-            expired_waiters.clear();
-
             if (disk_) {
                 if (obs_ != nullptr) {
                     io.read = true;
@@ -495,6 +492,9 @@ JobService::workerLoop(Shard &shard)
                 }
             }
             if (result) {
+                // The replay in load() proved the entry legal; prove it
+                // executes this job's circuit.
+                validateCompleteness(result->schedule, circuit);
                 from_disk = true;
             } else {
                 for (const JobId job_id : live_ids)
@@ -523,6 +523,7 @@ JobService::workerLoop(Shard &shard)
             lock.lock();
         } catch (...) {
             error = std::current_exception();
+            result = nullptr; // never cache a failed job's disk entry
             if (!lock.owns_lock())
                 lock.lock();
         }
@@ -544,7 +545,6 @@ JobService::workerLoop(Shard &shard)
         // its result (or exception) must already see it in stats().
         {
             const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            expired_ += expired_waiters.size();
             if (error)
                 ++failed_;
             else if (from_disk)
@@ -562,16 +562,6 @@ JobService::workerLoop(Shard &shard)
                 ->add(1);
             if (!error && !from_disk)
                 metric_->foldPassProfiles(result->pass_profiles);
-        }
-
-        // Leftover expired waiters exist only on the error path (the
-        // unlock above never ran); resolve them as Expired, not Failed.
-        for (Waiter &waiter : expired_waiters) {
-            recordState(waiter.id, JobState::Expired,
-                        "expired: deadline passed while queued");
-            traceJob(waiter.id, {});
-            waiter.promise.set_exception(std::make_exception_ptr(
-                ExpiredError("deadline passed while queued")));
         }
 
         std::string error_text;

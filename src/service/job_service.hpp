@@ -10,9 +10,10 @@
  * buffering unboundedly. Each submission resolves against four tiers:
  * an identical job already in flight (the new future attaches to it),
  * the shard's in-memory LRU cache (the future is ready at submit), the
- * optional persistent disk cache (a worker deserializes the stored
- * schedule), or a fresh compile. Failures propagate as exceptions
- * through every waiting future and are never cached.
+ * optional persistent disk cache (a worker decodes and replays the
+ * stored schedule, then checks it against the job's circuit), or a
+ * fresh compile. Failures propagate as exceptions through every
+ * waiting future and are never cached.
  *
  *  - Priority: higher-priority jobs pop first within their shard; ties
  *    run in submission order. A duplicate submission of an in-flight
@@ -296,6 +297,9 @@ class JobService
 
     Shard &shardFor(std::uint64_t fingerprint);
     void workerLoop(Shard &shard);
+
+    /** Resolves @p waiters as Expired; call with no shard lock held. */
+    void expireWaiters(std::vector<Waiter> &waiters);
 
     /** Interned machine for @p config within @p shard (builds on miss). */
     std::shared_ptr<const Machine>

@@ -108,8 +108,12 @@ TEST(DiskCacheTest, SerializationRoundTripIsByteIdentical)
     validateAgainstCircuit(decoded->schedule, job.circuit);
 
     // The canonical encoding is the byte-identity witness: an exact
-    // decode re-encodes to exactly the same bytes.
+    // decode re-encodes to exactly the same bytes. The payload holds no
+    // score, so equal witnesses show the decode replay rescored it bit
+    // for bit.
     EXPECT_EQ(serializeCompileResult(*decoded), bytes);
+    EXPECT_EQ(serializeResultWitness(*decoded),
+              serializeResultWitness(fresh));
     EXPECT_EQ(decoded->num_stages, fresh.num_stages);
     EXPECT_EQ(decoded->num_coll_moves, fresh.num_coll_moves);
     EXPECT_DOUBLE_EQ(decoded->metrics.fidelity(), fresh.metrics.fidelity());
@@ -267,6 +271,36 @@ TEST(DiskCacheTest, PreviousFormatVersionIsAMissAndIsDeleted)
     EXPECT_EQ(cache.load(key, machine), nullptr);
     EXPECT_EQ(cache.stats().corrupt, 0u);
     EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_FALSE(fs::exists(entry));
+}
+
+TEST(DiskCacheTest, IllegalScheduleIsACorruptMissAndIsDeleted)
+{
+    const TempDir dir("illegal");
+    const CompileJob job = smallJob();
+    const Machine machine(job.machine);
+    const CompileResult fresh = compileDirect(job, machine);
+    const std::uint64_t key = jobFingerprint(job);
+
+    // Qubit 0 departs from qubit 1's site: well-formed and checksummed,
+    // but no machine can execute it.
+    const std::vector<SiteId> &sites = fresh.schedule.initialSites();
+    MachineSchedule illegal(machine, sites);
+    AodBatch batch;
+    batch.groups.push_back(CollMove{{QubitMove{0, sites[1], sites[0]}}});
+    illegal.addMoveBatch(std::move(batch));
+    const CompileResult forged{std::move(illegal), fresh.metrics,
+                               fresh.compile_time, fresh.num_stages,
+                               fresh.num_coll_moves, fresh.pass_profiles};
+
+    DiskCache cache(cacheOptions(dir.str()));
+    cache.store(key, forged);
+    const fs::path entry = soleEntryFile(dir.path());
+    ASSERT_FALSE(entry.empty());
+
+    EXPECT_EQ(cache.load(key, machine), nullptr);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_FALSE(cache.contains(key));
     EXPECT_FALSE(fs::exists(entry));
 }
 

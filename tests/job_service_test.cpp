@@ -565,6 +565,35 @@ TEST(JobServiceTest, DiskTierServesAcrossServiceInstances)
     EXPECT_EQ(warm.stats().compiled, 0u);
 }
 
+TEST(JobServiceTest, DiskEntryOfAnotherJobFailsWithValidationError)
+{
+    const TempDir dir("foreign_entry");
+    // Two jobs on the same 4-qubit machine.
+    const CompileJob a = smallJob(1);
+    const CompileJob b = smallJob(2);
+    JobServiceOptions options = shardOptions(1, 1, 16);
+    options.cache_dir = dir.str();
+    {
+        // B's legal schedule, filed under A's key.
+        const Machine machine(b.machine);
+        DiskCacheOptions disk;
+        disk.dir = dir.str();
+        DiskCache cache(disk);
+        cache.store(diskCacheKey(jobFingerprint(a), options.derive_job_seeds),
+                    PowerMoveCompiler(machine, effectiveOptions(b))
+                        .compile(b.circuit));
+    }
+
+    JobService svc(options);
+    JobTicket ticket = svc.submit(a);
+    EXPECT_THROW(ticket.result.get(), ValidationError);
+    const auto status = svc.status(ticket.id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, JobState::Failed);
+    EXPECT_EQ(svc.stats().failed, 1u);
+    EXPECT_EQ(svc.stats().disk_hits, 0u);
+}
+
 TEST(JobServiceTest, ResultsMatchEffectiveOptionsReplay)
 {
     // The determinism bar: whatever the shard/priority/cache path, the
