@@ -13,11 +13,10 @@
  *     determinism check asserts every pool size reproduces the serial
  *     run's fidelity bit for bit.
  *  2. JobService soak — tens of thousands of async submissions (mostly
- *     duplicates of the distinct suite, with randomized priorities and
- *     occasional generous deadlines) through the sharded JobService;
+ *     duplicates of the distinct suite) through the sharded JobService;
  *     reports sustained submissions/s and the tier breakdown
- *     (compiled / coalesced / memory / disk). Nothing may be rejected,
- *     expire, or fail.
+ *     (compiled / coalesced / memory / disk). Nothing may be rejected
+ *     or fail.
  *  3. Disk restart — a cold JobService populates a cache directory,
  *     dies, and a fresh instance re-serves the whole suite from disk.
  *     The warm pass must beat the cold pass by the required factor
@@ -50,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "report/table.hpp"
 #include "service/job_service.hpp"
 #include "workloads/suite.hpp"
@@ -246,8 +244,7 @@ runScaling(const std::vector<service::CompileJob> &jobs, int repeats,
 
 /**
  * Section 2: async soak. @p submissions tickets over the distinct job
- * set, randomized priorities and a slice of generous deadlines; every
- * ticket must resolve successfully.
+ * set; every ticket must resolve successfully.
  */
 int
 runSoak(const std::vector<service::CompileJob> &jobs,
@@ -261,17 +258,12 @@ runSoak(const std::vector<service::CompileJob> &jobs,
     options.max_queue = submissions; // soak dispatch, not admission
     JobService svc(options);
 
-    Rng rng(0x736f616bULL); // "soak"
     std::vector<service::JobTicket> tickets;
     tickets.reserve(submissions);
 
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < submissions; ++i) {
-        const service::CompileJob &job = jobs[i % jobs.size()];
-        const int priority = static_cast<int>(rng.nextBelow(11)) - 5;
-        const double deadline_ms = rng.nextBool(0.1) ? 60000.0 : 0.0;
-        tickets.push_back(svc.submit(job, priority, deadline_ms));
-    }
+    for (std::size_t i = 0; i < submissions; ++i)
+        tickets.push_back(svc.submit(jobs[i % jobs.size()]));
     for (service::JobTicket &ticket : tickets) {
         try {
             if (!ticket.result.get().result) {
@@ -302,11 +294,10 @@ runSoak(const std::vector<service::CompileJob> &jobs,
                 stats.compiled, stats.coalesced, stats.memory_hits,
                 stats.disk_hits);
 
-    if (stats.rejected + stats.expired + stats.failed > 0) {
+    if (stats.rejected + stats.failed > 0) {
         std::fprintf(stderr,
-                     "soak: %zu rejected, %zu expired, %zu failed — "
-                     "expected none\n",
-                     stats.rejected, stats.expired, stats.failed);
+                     "soak: %zu rejected, %zu failed — expected none\n",
+                     stats.rejected, stats.failed);
         return 1;
     }
     return 0;

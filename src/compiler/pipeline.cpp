@@ -201,40 +201,39 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
     ctx.count(PassCounter::MovesPlanned, plan.moves.size());
     ctx.count(PassCounter::QubitsParked, plan.num_parked);
     ctx.count(PassCounter::QubitsEvicted, plan.num_evicted);
-    if (reuse_router_ != nullptr) {
-        // Reuse-only counters stay out of the continuous profile so the
-        // default --profile output is unchanged from PR 2.
-        ctx.count(PassCounter::QubitsHeld, plan.num_held);
-        // A hold that stays put skips its park move outright; a
-        // relocated hold still emits one compute-zone move, so it only
-        // trades the park (it saves the storage round trip's transfers
-        // and the later retrieval, not a move this transition).
-        ctx.count(PassCounter::MovesSaved,
-                  plan.num_held - plan.num_reuse_relocated);
-        ctx.count(PassCounter::LookaheadHits, plan.num_reuse_hits);
-        ctx.count(PassCounter::LookaheadMisses, plan.num_lookahead_misses);
-        // The misses split into "no further use in the block" (parking
-        // is simply correct) and genuine window/pressure/cost misses;
-        // the two always sum to lookahead_misses.
-        ctx.count(PassCounter::ParkedNoReuse, plan.num_parked_no_reuse);
-        ctx.count(PassCounter::WindowMisses, plan.num_window_misses);
-        ctx.count(PassCounter::ReuseRelocations, plan.num_reuse_relocated);
-        ctx.count(PassCounter::HoldsDenied, plan.num_hold_denied);
-    }
-    if (windowed_router_ != nullptr) {
-        // Windowed-only counters, gated like the reuse block above so
-        // the default --profile output stays unchanged.
-        ctx.count(PassCounter::OrderingsEvaluated, plan.num_candidates);
-        ctx.count(PassCounter::WindowWins, plan.num_window_wins);
-    }
     return plan;
 }
 
 void
 RoutingPass::endProgram(PipelineContext &ctx)
 {
+    // A strategy's own counters appear only once it routed a stage, so
+    // the default --profile output carries none of them.
+    const bool routed = ctx.num_stages > 0;
+    if (windowed_router_ != nullptr && routed) {
+        // Every transition evaluates exactly the window's orderings.
+        ctx.count(PassCounter::OrderingsEvaluated,
+                  ctx.num_stages * windowed_router_->window());
+        ctx.count(PassCounter::WindowWins, windowed_router_->windowWins());
+    }
     if (reuse_router_ == nullptr)
         return;
+    if (routed) {
+        const ReuseStats &reuse = reuse_router_->reuseStats();
+        ctx.count(PassCounter::QubitsHeld, reuse.held);
+        // A hold that stays put skips its park move outright; a
+        // relocated hold still emits one compute-zone move, so it only
+        // trades the park (it saves the storage round trip's transfers
+        // and the later retrieval, not a move).
+        ctx.count(PassCounter::MovesSaved, reuse.held - reuse.relocated);
+        ctx.count(PassCounter::LookaheadHits, reuse.hits);
+        ctx.count(PassCounter::LookaheadMisses,
+                  reuse.parked_no_reuse + reuse.window_misses);
+        ctx.count(PassCounter::ParkedNoReuse, reuse.parked_no_reuse);
+        ctx.count(PassCounter::WindowMisses, reuse.window_misses);
+        ctx.count(PassCounter::ReuseRelocations, reuse.relocated);
+        ctx.count(PassCounter::HoldsDenied, reuse.hold_denied);
+    }
     // Settle residency spans still open after the last transition so
     // the lifetime stats balance (holds_started == holds_ended); they
     // used to leak for the final block, whose spans were only closed by
@@ -331,8 +330,8 @@ Pipeline::run(const Circuit &circuit) const
         ++ctx.block_index;
     }
 
-    // Close residency spans surviving the final block (reuse routing
-    // only; a no-op for the other strategies).
+    // Publish the routing strategy's totals and close residency spans
+    // surviving the final block.
     routing.endProgram(ctx);
 
     const auto stop = std::chrono::steady_clock::now();

@@ -144,11 +144,13 @@ class RoutingPass
     TransitionPlan run(PipelineContext &ctx, const Stage &stage);
 
     /**
-     * Called once after the program's last transition: closes residency
-     * spans surviving the final block (they used to leak — the stats
-     * only settled in the next beginBlock(), which never comes for the
-     * last block) and publishes the residency lifetime counters. A
-     * no-op for the non-reuse strategies.
+     * Called once after the program's last transition: publishes the
+     * reuse and windowed routers' accumulated counters (when at least
+     * one stage was routed), closes residency spans surviving the final
+     * block (they used to leak — the stats only settled in the next
+     * beginBlock(), which never comes for the last block) and publishes
+     * the residency lifetime counters. A no-op for the continuous
+     * strategy.
      */
     void endProgram(PipelineContext &ctx);
 

@@ -129,11 +129,10 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
         // Classify the miss: a release with no further use in the
         // block is just correct parking; one with a known upcoming use
         // is a genuine window/pressure/cost miss.
-        ++plan.num_lookahead_misses;
         if (analysis_.effectiveNextUse(stage_index, q) == kNoNextUse)
-            ++plan.num_parked_no_reuse;
+            ++reuse_stats_.parked_no_reuse;
         else
-            ++plan.num_window_misses;
+            ++reuse_stats_.window_misses;
     }
     std::sort(releases.begin(), releases.end(), vertical_order);
     for (const QubitId q : releases) {
@@ -155,7 +154,7 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
     for (const auto &gate : stage.gates) {
         for (const QubitId q : {gate.a, gate.b}) {
             if (occupancy_.isResident(q)) {
-                ++plan.num_reuse_hits;
+                ++reuse_stats_.hits;
                 occupancy_.releaseResident(q, global_index);
             }
         }
@@ -283,7 +282,7 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
     for (const QubitId q : holds) {
         const SiteId site = layout.siteOf(q);
         if (occupancy_.plannedAt(site) == 1) {
-            ++plan.num_held;
+            ++reuse_stats_.held;
             occupancy_.holdResident(q, global_index);
             continue;
         }
@@ -294,8 +293,8 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
             occupancy_.arrive(dest);
             target[q] = dest;
             relocated.push_back(q);
-            ++plan.num_held;
-            ++plan.num_reuse_relocated;
+            ++reuse_stats_.held;
+            ++reuse_stats_.relocated;
             occupancy_.holdResident(q, global_index);
         } else {
             // No surviving compute site: the hold is denied and the
@@ -306,7 +305,7 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
             occupancy_.arrive(slot);
             target[q] = slot;
             denied.push_back(q);
-            ++plan.num_hold_denied;
+            ++reuse_stats_.hold_denied;
             ++plan.num_parked;
             occupancy_.releaseResident(q, global_index);
         }

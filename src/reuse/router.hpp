@@ -77,6 +77,28 @@ struct ReuseRouterOptions
     ResidencyPolicy residency = ResidencyPolicy::Lookahead;
 };
 
+/** Reuse accounting summed over every transition a router planned. */
+struct ReuseStats
+{
+    /** Idle qubits kept resident in the compute zone. */
+    std::size_t held = 0;
+    /** Held qubits relocated within the compute zone to dodge a pair. */
+    std::size_t relocated = 0;
+    /** Hold candidates denied a surviving site, released to storage. */
+    std::size_t hold_denied = 0;
+    /** Interacting qubits that entered their stage already held resident. */
+    std::size_t hits = 0;
+    /**
+     * Idle qubits the residency policy released to storage, split into
+     * those with no further use in the block (parking is simply
+     * correct) and genuine misses whose next use the policy declined to
+     * wait for (window too small, pressure eviction, or cost model said
+     * park).
+     */
+    std::size_t parked_no_reuse = 0;
+    std::size_t window_misses = 0;
+};
+
 /** Plans stage transitions with gate-aware atom reuse. */
 class ReuseAwareRouter
 {
@@ -128,6 +150,9 @@ class ReuseAwareRouter
     /** Residency lifetime counters accumulated across all transitions. */
     const ResidencyStats &residencyStats() const { return occupancy_.stats(); }
 
+    /** Hold and release counts accumulated across all transitions. */
+    const ReuseStats &reuseStats() const { return reuse_stats_; }
+
     /** Number of currently resident (held) qubits. */
     std::size_t numResidents() const { return occupancy_.numResidents(); }
 
@@ -144,6 +169,7 @@ class ReuseAwareRouter
     ReuseAnalysis analysis_;
     StorageSlotIndex storage_index_;
     std::unique_ptr<ResidencyPolicyImpl> policy_;
+    ReuseStats reuse_stats_;
     std::size_t num_compute_sites_ = 0;
     std::size_t stage_cursor_ = 0;
     // Program-global transition counter: residency spans are stamped

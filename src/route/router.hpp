@@ -104,34 +104,6 @@ struct TransitionPlan
     std::size_t num_parked = 0;
     /** Idle qubits evicted to dodge clustering (storage-free mode). */
     std::size_t num_evicted = 0;
-
-    // Reuse-strategy accounting (always zero for the continuous router;
-    // see reuse/router.hpp for the strategy that fills these in).
-    /** Idle qubits kept resident in the compute zone this transition. */
-    std::size_t num_held = 0;
-    /** Held qubits relocated within the compute zone to dodge a pair. */
-    std::size_t num_reuse_relocated = 0;
-    /** Hold candidates denied a surviving site, released to storage. */
-    std::size_t num_hold_denied = 0;
-    /** Interacting qubits that entered the stage already held resident. */
-    std::size_t num_reuse_hits = 0;
-    /** Idle qubits released to storage by the residency policy. */
-    std::size_t num_lookahead_misses = 0;
-    /**
-     * Split of num_lookahead_misses (the two always sum to it): releases
-     * with no further use in the block — parking is simply correct —
-     * versus genuine misses whose next use the policy declined to wait
-     * for (window too small, pressure eviction, or cost model said park).
-     */
-    std::size_t num_parked_no_reuse = 0;
-    std::size_t num_window_misses = 0;
-
-    // Windowed-strategy accounting (always zero except under
-    // --routing=windowed; see route/windowed_router.hpp).
-    /** Candidate gate orderings evaluated for this transition. */
-    std::size_t num_candidates = 0;
-    /** Shuffled orderings that beat the original-order incumbent. */
-    std::size_t num_window_wins = 0;
 };
 
 /** Plans direct layout-to-layout transitions (paper Sec. 5). */

@@ -57,14 +57,19 @@ class WindowedRouter
 
     /**
      * Plans the best-of-window transition into @p stage and applies it
-     * to @p layout. The returned plan carries num_candidates and
-     * num_window_wins accounting. Like ContinuousRouter, requires that
-     * the layout is not mutated outside this router between calls.
+     * to @p layout. Like ContinuousRouter, requires that the layout is
+     * not mutated outside this router between calls.
      */
     TransitionPlan planStageTransition(Layout &layout, const Stage &stage);
 
     const RouterOptions &options() const { return options_; }
     std::uint32_t window() const { return window_; }
+
+    /**
+     * Shuffled orderings that beat the incumbent, summed over all
+     * transitions (each transition evaluates window() orderings).
+     */
+    std::size_t windowWins() const { return window_wins_; }
 
   private:
     const Machine &machine_;
@@ -78,6 +83,7 @@ class WindowedRouter
     Rng candidate_rng_;
     ContinuousRouter inner_;
     Stage candidate_stage_; // reused gate-permutation buffer
+    std::size_t window_wins_ = 0;
 };
 
 } // namespace powermove

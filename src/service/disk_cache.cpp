@@ -506,8 +506,12 @@ DiskCache::DiskCache(DiskCacheOptions options)
             std::strtoull(stem.c_str(), &end, 16);
         if (end == stem.c_str() || *end != '\0')
             continue;
-        found.push_back(Found{fingerprint,
-                              static_cast<std::uint64_t>(entry.file_size(ec)),
+        // A file gone since the scan reports size -1, which would
+        // swamp the byte budget; it is not an entry.
+        const std::uintmax_t bytes = entry.file_size(ec);
+        if (ec)
+            continue;
+        found.push_back(Found{fingerprint, static_cast<std::uint64_t>(bytes),
                               entry.last_write_time(ec)});
     }
     std::sort(found.begin(), found.end(),
@@ -549,15 +553,23 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
     const std::filesystem::path path = entryPath(fingerprint);
 
     // All file I/O runs outside the index lock; a concurrent eviction
-    // just makes the open fail, which reads as a miss.
+    // just makes the open fail, which reads as a miss. A file removed
+    // behind the cache's back leaves the index too, so its bytes stop
+    // counting against the budget.
     std::string blob;
     {
         std::FILE *file = std::fopen(path.c_str(), "rb");
         if (file == nullptr) {
-            if (obs_ != nullptr)
-                metric_.misses->add(1);
-            const std::lock_guard<std::mutex> lock(mutex_);
+            std::unique_lock<std::mutex> lock(mutex_);
             ++misses_;
+            dropIndexEntry(fingerprint);
+            const std::size_t entries = index_.size();
+            const std::uint64_t resident = resident_bytes_;
+            lock.unlock();
+            if (obs_ != nullptr) {
+                metric_.misses->add(1);
+                publishResidency(entries, resident);
+            }
             return nullptr;
         }
         char buffer[1 << 16];

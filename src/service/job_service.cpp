@@ -16,8 +16,16 @@ JobService::JobService(JobServiceOptions options) : options_(std::move(options))
     if (options_.num_shards == 0)
         options_.num_shards = std::min<std::size_t>(hw, 4);
     if (options_.workers_per_shard == 0)
-        options_.workers_per_shard =
-            std::max<std::size_t>(1, hw / options_.num_shards);
+        options_.workers_per_shard = std::max<std::size_t>(
+            1, std::min(hw, kMaxWorkers) / options_.num_shards);
+    // Divide rather than multiply: the product of two caller-supplied
+    // counts may overflow.
+    if (options_.workers_per_shard > kMaxWorkers / options_.num_shards)
+        throw ConfigError(
+            "job service: " + std::to_string(options_.num_shards) +
+            " shards x " + std::to_string(options_.workers_per_shard) +
+            " workers exceeds the limit of " + std::to_string(kMaxWorkers) +
+            " worker threads");
 
     obs_ = options_.obs;
     if (obs_ != nullptr)
@@ -71,15 +79,9 @@ JobService::shardFor(std::uint64_t fingerprint)
 }
 
 JobTicket
-JobService::submit(CompileJob job, int priority, double deadline_ms)
+JobService::submit(CompileJob job)
 {
-    return submit(JobRequest{std::move(job), priority, deadline_ms});
-}
-
-JobTicket
-JobService::submit(JobRequest request)
-{
-    const std::uint64_t fingerprint = jobFingerprint(request.job);
+    const std::uint64_t fingerprint = jobFingerprint(job);
     const JobId id = next_id_.fetch_add(1, std::memory_order_relaxed);
     {
         const std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -87,37 +89,21 @@ JobService::submit(JobRequest request)
     }
     if (metric_ != nullptr)
         metric_->submitted->add(1);
-    createRecord(id, fingerprint, request.priority);
+    createRecord(id, fingerprint);
 
     Waiter waiter;
     waiter.id = id;
     std::future<JobResult> future = waiter.promise.get_future();
-    if (request.deadline_ms > 0.0) {
-        waiter.has_deadline = true;
-        waiter.deadline =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    request.deadline_ms));
-    }
 
     Shard &shard = shardFor(fingerprint);
     std::unique_lock<std::mutex> lock(shard.mutex);
     if (shard.stopping)
         fatal("submit on a stopping JobService");
 
-    // An identical job is queued or compiling: attach, and promote the
-    // queued entry if this duplicate outranks it.
+    // An identical job is queued or compiling: attach to it.
     if (const auto it = shard.pending.find(fingerprint);
         it != shard.pending.end()) {
-        PendingJob &pending = it->second;
-        if (!pending.running && request.priority > pending.priority) {
-            pending.priority = request.priority;
-            // The old heap entry goes stale (priority mismatch on pop).
-            shard.queue.push(
-                QueueEntry{pending.priority, pending.seq, fingerprint});
-        }
-        pending.waiters.push_back(std::move(waiter));
+        it->second.waiters.push_back(std::move(waiter));
         // Record Admitted before a worker can see the waiter: once the
         // lock drops, the job may reach a terminal state at any moment,
         // and a late Admitted would overwrite it.
@@ -131,7 +117,6 @@ JobService::submit(JobRequest request)
             metric_->tier_total[static_cast<std::size_t>(
                                     TierIndex::Coalesced)]
                 ->add(1);
-        shard.work_ready.notify_one();
         return JobTicket{id, std::move(future)};
     }
 
@@ -156,7 +141,7 @@ JobService::submit(JobRequest request)
 
     // Admission control: beyond the queue bound the service pushes
     // back instead of buffering, so overload degrades loudly.
-    if (options_.max_queue != 0 && shard.queued_jobs >= options_.max_queue) {
+    if (options_.max_queue != 0 && shard.queue.size() >= options_.max_queue) {
         lock.unlock();
         {
             const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -173,15 +158,12 @@ JobService::submit(JobRequest request)
     }
 
     PendingJob pending;
-    pending.job = std::move(request.job);
-    pending.priority = request.priority;
-    pending.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    pending.job = std::move(job);
     pending.waiters.push_back(std::move(waiter));
-    shard.queue.push(QueueEntry{pending.priority, pending.seq, fingerprint});
     shard.pending.emplace(fingerprint, std::move(pending));
-    ++shard.queued_jobs;
+    shard.queue.push_back(fingerprint);
     if (shard.depth_gauge != nullptr)
-        shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+        shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
     recordState(id, JobState::Admitted); // under the lock, as above
     lock.unlock();
 
@@ -216,7 +198,6 @@ JobService::stats() const
         const std::lock_guard<std::mutex> lock(stats_mutex_);
         stats.submitted = submitted_;
         stats.rejected = rejected_;
-        stats.expired = expired_;
         stats.coalesced = coalesced_;
         stats.memory_hits = memory_hits_;
         stats.disk_hits = disk_hits_;
@@ -228,8 +209,8 @@ JobService::stats() const
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
         stats.queued += shard->pending.size();
-        min_depth = std::min(min_depth, shard->queued_jobs);
-        max_depth = std::max(max_depth, shard->queued_jobs);
+        min_depth = std::min(min_depth, shard->queue.size());
+        max_depth = std::max(max_depth, shard->queue.size());
     }
     if (metric_ != nullptr)
         metric_->shard_imbalance->set(
@@ -242,12 +223,11 @@ JobService::stats() const
 }
 
 void
-JobService::createRecord(JobId id, std::uint64_t fingerprint, int priority)
+JobService::createRecord(JobId id, std::uint64_t fingerprint)
 {
     JobStatus record;
     record.id = id;
     record.fingerprint = fingerprint;
-    record.priority = priority;
     record.state = JobState::Queued;
     record.timeline.record(JobState::Queued);
     if (metric_ != nullptr)
@@ -262,7 +242,6 @@ JobService::recordState(JobId id, JobState state, std::string error,
                         std::string detail)
 {
     const bool terminal = jobStateIsTerminal(state);
-    int priority = 0;
     double wait_us = 0.0;
     double run_us = -1.0;
     double total_ms = 0.0;
@@ -279,7 +258,6 @@ JobService::recordState(JobId id, JobState state, std::string error,
         if (!error.empty())
             it->second.error = std::move(error);
         if (terminal) {
-            priority = it->second.priority;
             if (obs_ != nullptr) {
                 // Wait covers the queue (submit to Running, or the
                 // whole record when the job never ran); run covers the
@@ -312,15 +290,13 @@ JobService::recordState(JobId id, JobState state, std::string error,
     metric_->state_total[static_cast<std::size_t>(state)]->add(1);
     if (!terminal)
         return;
-    const std::size_t cls = priorityClassIndex(priority);
-    metric_->wait_us[cls]->observe(wait_us);
+    metric_->wait_us->observe(wait_us);
     if (run_us >= 0.0)
-        metric_->run_us[cls]->observe(run_us);
+        metric_->run_us->observe(run_us);
     if (options_.slow_job_ms > 0.0 && total_ms >= options_.slow_job_ms)
         obs_->log.warn("slow_job", {{"job", id},
                                     {"state", jobStateName(state)},
-                                    {"total_ms", total_ms},
-                                    {"priority", priority}});
+                                    {"total_ms", total_ms}});
     if (obs_->log.enabled(obs::LogLevel::Debug)) {
         if (log_error.empty())
             obs_->log.debug("job_finished",
@@ -385,87 +361,28 @@ JobService::internMachine(Shard &shard, const MachineConfig &config,
 }
 
 void
-JobService::expireWaiters(std::vector<Waiter> &waiters)
-{
-    {
-        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        expired_ += waiters.size();
-    }
-    for (Waiter &waiter : waiters) {
-        recordState(waiter.id, JobState::Expired,
-                    "expired: deadline passed while queued");
-        traceJob(waiter.id, {});
-        waiter.promise.set_exception(std::make_exception_ptr(
-            ExpiredError("deadline passed while queued")));
-    }
-}
-
-void
 JobService::workerLoop(Shard &shard)
 {
     std::unique_lock<std::mutex> lock(shard.mutex);
     for (;;) {
         shard.work_ready.wait(
             lock, [&] { return shard.stopping || !shard.queue.empty(); });
-        if (shard.queue.empty()) {
-            if (shard.stopping)
-                return; // drained: every admitted job was resolved
-            continue;
-        }
-        const QueueEntry entry = shard.queue.top();
-        shard.queue.pop();
-
-        const auto it = shard.pending.find(entry.fingerprint);
-        // Stale heap entries: the job already ran, or a promotion
-        // superseded this entry (the fresher one carries the higher
-        // priority). Skip without touching anything.
-        if (it == shard.pending.end() || it->second.running ||
-            it->second.priority != entry.priority)
-            continue;
-
-        const std::uint64_t fingerprint = entry.fingerprint;
-        // The map reference stays valid while unlocked: only this
-        // worker erases this entry once running, rehashing never
-        // invalidates references, and concurrent submits only append
-        // waiters under the lock — never touch the job payload.
-        PendingJob &pending = it->second;
-        pending.running = true;
-        --shard.queued_jobs;
+        if (shard.queue.empty())
+            return; // stopping, and every admitted job was resolved
+        const std::uint64_t fingerprint = shard.queue.front();
+        shard.queue.pop_front();
         if (shard.depth_gauge != nullptr)
-            shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+            shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
+        // The map reference stays valid while unlocked: only this
+        // worker erases this entry, rehashing never invalidates
+        // references, and concurrent submits only append waiters under
+        // the lock — never touch the job payload.
+        PendingJob &pending = shard.pending.at(fingerprint);
 
-        // Deadlines bound queue wait: anyone overdue by now expires
-        // before the compilation starts.
-        const Clock::time_point now = Clock::now();
-        std::vector<Waiter> expired_waiters;
-        std::vector<Waiter> live;
-        for (Waiter &waiter : pending.waiters) {
-            if (waiter.has_deadline && waiter.deadline < now)
-                expired_waiters.push_back(std::move(waiter));
-            else
-                live.push_back(std::move(waiter));
-        }
-        pending.waiters = std::move(live);
-
-        if (!expired_waiters.empty()) {
-            // If everyone expired, skip the compilation entirely.
-            const bool skip = pending.waiters.empty();
-            if (skip)
-                shard.pending.erase(it);
-            const bool now_idle = shard.pending.empty();
-            lock.unlock();
-            expireWaiters(expired_waiters);
-            if (now_idle)
-                shard.idle.notify_all();
-            lock.lock();
-            if (skip)
-                continue;
-        }
-
-        std::vector<JobId> live_ids;
-        live_ids.reserve(pending.waiters.size());
+        std::vector<JobId> waiter_ids;
+        waiter_ids.reserve(pending.waiters.size());
         for (const Waiter &waiter : pending.waiters)
-            live_ids.push_back(waiter.id);
+            waiter_ids.push_back(waiter.id);
 
         std::shared_ptr<const Machine> machine;
         std::shared_ptr<const CompileResult> result;
@@ -497,7 +414,7 @@ JobService::workerLoop(Shard &shard)
                 validateCompleteness(result->schedule, circuit);
                 from_disk = true;
             } else {
-                for (const JobId job_id : live_ids)
+                for (const JobId job_id : waiter_ids)
                     recordState(job_id, JobState::Running);
                 if (options_.derive_job_seeds)
                     options.seed = deriveJobSeed(

@@ -1,8 +1,7 @@
 /**
  * @file
  * The compilation service: a sharded worker pool behind a
- * content-addressed cache, with priorities, deadlines, and admission
- * control.
+ * content-addressed cache, with admission control.
  *
  * submit() returns immediately with a job ID plus a future; every
  * lifecycle transition lands in a queryable per-job timeline
@@ -15,16 +14,9 @@
  * fresh compile. Failures propagate as exceptions through every
  * waiting future and are never cached.
  *
- *  - Priority: higher-priority jobs pop first within their shard; ties
- *    run in submission order. A duplicate submission of an in-flight
- *    fingerprint at a higher priority promotes the queued job
- *    (priority inheritance), so a cheap duplicate can never be starved
- *    behind the original's low priority.
- *  - Deadlines: a job's optional deadline bounds its *queue wait*. A
- *    job still queued when its deadline passes is Expired and its
- *    future fails; once a compilation started (or the job attached to
- *    one already running), it completes. Expiry is detected when a
- *    worker pops the job — there is no timer thread.
+ *  - Queueing: each shard runs its admitted jobs in submission order
+ *    (FIFO). A duplicate of a queued or running job attaches to it and
+ *    takes no queue slot of its own.
  *  - Admission control: each shard accepts at most
  *    JobServiceOptions::max_queue queued (not yet running) jobs;
  *    beyond that, submissions are Rejected and their future fails with
@@ -41,7 +33,7 @@
  *
  * Determinism: each job compiles with the deriveJobSeed() rule
  * (service/job.hpp), so results are independent of shard count,
- * worker count, priority order, and cache state — effectiveOptions()
+ * worker count, queue order, and cache state — effectiveOptions()
  * replays any job bit-identically outside the service, and a result
  * served from disk is byte-identical to a fresh compile.
  *
@@ -54,7 +46,6 @@
 #define POWERMOVE_SERVICE_JOB_SERVICE_HPP
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -62,7 +53,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -84,34 +74,14 @@ class RejectedError : public Error
     explicit RejectedError(const std::string &what) : Error(what) {}
 };
 
-/** Thrown through the future of a job whose deadline passed in queue. */
-class ExpiredError : public Error
-{
-  public:
-    explicit ExpiredError(const std::string &what) : Error(what) {}
-};
-
 /** Server-assigned job identifier; unique within one JobService. */
 using JobId = std::uint64_t;
-
-/** One async submission: the compile job plus its scheduling class. */
-struct JobRequest
-{
-    CompileJob job;
-    /** Larger runs earlier within the shard; may be negative. */
-    int priority = 0;
-    /**
-     * Queue-wait bound in milliseconds from submission; 0 (the
-     * default) means no deadline.
-     */
-    double deadline_ms = 0.0;
-};
 
 /** What submit() hands back. */
 struct JobTicket
 {
     JobId id = 0;
-    /** Resolves to the result, or throws (Rejected/Expired/compile). */
+    /** Resolves to the result, or throws (RejectedError, compile error). */
     std::future<JobResult> result;
 };
 
@@ -120,13 +90,18 @@ struct JobStatus
 {
     JobId id = 0;
     std::uint64_t fingerprint = 0;
-    int priority = 0;
     JobState state = JobState::Queued;
     /** Full transition history with timestamps. */
     Timeline timeline;
-    /** Failure/rejection/expiry description; empty on success paths. */
+    /** Failure/rejection description; empty on success paths. */
     std::string error;
 };
+
+/**
+ * The most worker threads one JobService starts (num_shards x
+ * workers_per_shard); the constructor throws ConfigError beyond it.
+ */
+inline constexpr std::size_t kMaxWorkers = 256;
 
 /** Service construction knobs. */
 struct JobServiceOptions
@@ -135,7 +110,8 @@ struct JobServiceOptions
     std::size_t num_shards = 0;
     /**
      * Worker threads per shard; 0 spreads one hardware thread per
-     * worker across shards (at least 1 per shard).
+     * worker across shards (at least 1 per shard, at most kMaxWorkers
+     * in all).
      */
     std::size_t workers_per_shard = 0;
     /** Per-shard in-memory result cache entries; 0 disables. */
@@ -180,8 +156,6 @@ struct JobServiceStats
     std::size_t submitted = 0;
     /** Refused by admission control. */
     std::size_t rejected = 0;
-    /** Deadline passed while queued. */
-    std::size_t expired = 0;
     /** Attached to an identical in-flight job. */
     std::size_t coalesced = 0;
     /** Served from a shard's memory cache at submit. */
@@ -204,9 +178,15 @@ struct JobServiceStats
 class JobService
 {
   public:
+    /**
+     * Resolves the defaults and starts the workers. Throws ConfigError
+     * when num_shards x workers_per_shard exceeds kMaxWorkers (checked
+     * before anything is allocated) or the disk cache directory cannot
+     * be created.
+     */
     explicit JobService(JobServiceOptions options = {});
 
-    /** Drains every admitted job (expiring overdue ones), then joins. */
+    /** Drains every admitted job, then joins. */
     ~JobService();
 
     JobService(const JobService &) = delete;
@@ -214,14 +194,10 @@ class JobService
 
     /**
      * Submits one job. Never blocks on compilation: the returned future
-     * resolves later (or is already resolved for cache hits, rejections
-     * and the degenerate already-expired deadline).
+     * resolves later (or is already resolved for memory-cache hits and
+     * rejections).
      */
-    JobTicket submit(JobRequest request);
-
-    /** Convenience overload building the request in place. */
-    JobTicket submit(CompileJob job, int priority = 0,
-                     double deadline_ms = 0.0);
+    JobTicket submit(CompileJob job);
 
     /**
      * The record of @p id, or nullopt for an unknown/forgotten job.
@@ -239,40 +215,16 @@ class JobService
     const JobServiceOptions &options() const { return options_; }
 
   private:
-    using Clock = std::chrono::steady_clock;
-
     struct Waiter
     {
         JobId id = 0;
         std::promise<JobResult> promise;
-        /** Meaningful only when has_deadline. */
-        Clock::time_point deadline;
-        bool has_deadline = false;
     };
 
     struct PendingJob
     {
         CompileJob job;
-        int priority = 0;
-        std::uint64_t seq = 0;
-        bool running = false;
         std::vector<Waiter> waiters;
-    };
-
-    /** Max-priority, then FIFO; stale entries are skipped on pop. */
-    struct QueueEntry
-    {
-        int priority = 0;
-        std::uint64_t seq = 0;
-        std::uint64_t fingerprint = 0;
-
-        bool
-        operator<(const QueueEntry &other) const
-        {
-            if (priority != other.priority)
-                return priority < other.priority;
-            return seq > other.seq; // earlier submissions first
-        }
     };
 
     struct Shard
@@ -281,10 +233,14 @@ class JobService
         std::condition_variable work_ready;
         std::condition_variable idle;
         bool stopping = false;
-        std::priority_queue<QueueEntry> queue;
+        /**
+         * Fingerprints of admitted jobs not yet running, in submission
+         * order; each is pushed once at admission and popped once. Its
+         * size is the admission-control gauge.
+         */
+        std::deque<std::uint64_t> queue;
+        /** Queued and running jobs by fingerprint. */
         std::unordered_map<std::uint64_t, PendingJob> pending;
-        /** Admitted jobs not yet running (the admission-control gauge). */
-        std::size_t queued_jobs = 0;
         CompileCache cache;
         std::unordered_map<std::uint64_t, std::weak_ptr<const Machine>>
             machines;
@@ -298,16 +254,13 @@ class JobService
     Shard &shardFor(std::uint64_t fingerprint);
     void workerLoop(Shard &shard);
 
-    /** Resolves @p waiters as Expired; call with no shard lock held. */
-    void expireWaiters(std::vector<Waiter> &waiters);
-
     /** Interned machine for @p config within @p shard (builds on miss). */
     std::shared_ptr<const Machine>
     internMachine(Shard &shard, const MachineConfig &config,
                   std::unique_lock<std::mutex> &lock);
 
     /** Creates the record for a new job in state Queued. */
-    void createRecord(JobId id, std::uint64_t fingerprint, int priority);
+    void createRecord(JobId id, std::uint64_t fingerprint);
 
     /**
      * Appends @p state (and optional error) to @p id's record. @p detail
@@ -341,12 +294,10 @@ class JobService
     /** Finished ids in finish order, for max_finished_records pruning. */
     std::deque<JobId> finished_order_;
     std::atomic<JobId> next_id_{1};
-    std::atomic<std::uint64_t> next_seq_{1};
 
     mutable std::mutex stats_mutex_;
     std::size_t submitted_ = 0;
     std::size_t rejected_ = 0;
-    std::size_t expired_ = 0;
     std::size_t coalesced_ = 0;
     std::size_t memory_hits_ = 0;
     std::size_t disk_hits_ = 0;

@@ -20,22 +20,6 @@ tierName(TierIndex tier)
     return "unknown";
 }
 
-std::size_t
-priorityClassIndex(int priority)
-{
-    if (priority < 0)
-        return 0;
-    return priority == 0 ? 1 : 2;
-}
-
-std::string_view
-priorityClassName(int priority)
-{
-    static constexpr std::string_view kNames[kNumPriorityClasses] = {
-        "low", "normal", "high"};
-    return kNames[priorityClassIndex(priority)];
-}
-
 ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
 {
     submitted = &registry.counter("powermove_jobs_submitted_total");
@@ -48,17 +32,10 @@ ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
         tier_total[t] = &registry.counter(
             "powermove_jobs_tier_total",
             {{"tier", std::string(tierName(static_cast<TierIndex>(t)))}});
-    static constexpr int kClassRepresentative[kNumPriorityClasses] = {-1, 0,
-                                                                      1};
-    for (std::size_t p = 0; p < kNumPriorityClasses; ++p) {
-        const std::string cls(priorityClassName(kClassRepresentative[p]));
-        wait_us[p] = &registry.histogram("powermove_job_wait_us",
-                                         obs::defaultLatencyBoundsUs(),
-                                         {{"priority", cls}});
-        run_us[p] = &registry.histogram("powermove_job_run_us",
-                                        obs::defaultLatencyBoundsUs(),
-                                        {{"priority", cls}});
-    }
+    wait_us = &registry.histogram("powermove_job_wait_us",
+                                  obs::defaultLatencyBoundsUs());
+    run_us = &registry.histogram("powermove_job_run_us",
+                                 obs::defaultLatencyBoundsUs());
     for (std::size_t p = 0; p < kNumPasses; ++p) {
         const std::string pass(passName(static_cast<PassId>(p)));
         pass_wall_us[p] = &registry.histogram("powermove_pass_wall_us",

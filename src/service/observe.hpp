@@ -9,14 +9,12 @@
  * counter, and job state, even at zero):
  *
  *   powermove_jobs_submitted_total           counter
- *   powermove_job_states_total{state=...}    counter, all 8 JobStates
+ *   powermove_job_states_total{state=...}    counter, all 7 JobStates
  *   powermove_jobs_tier_total{tier=...}      counter, the 4 serving
  *                                            tiers: coalesced / memory
  *                                            / disk / miss
- *   powermove_job_wait_us{priority=...}      histogram of queue wait,
- *                                            per priority class
- *                                            (low / normal / high)
- *   powermove_job_run_us{priority=...}       histogram of on-worker
+ *   powermove_job_wait_us                    histogram of queue wait
+ *   powermove_job_run_us                     histogram of on-worker
  *                                            compile time
  *   powermove_pass_wall_us{pass=...}         histogram, per-job wall
  *                                            time of each of the 6
@@ -39,7 +37,7 @@
  *                     inside `running` from the pass's profiled wall
  *                     time (synthetic offsets, measured durations)
  *   disk-read / disk-write [span]  real-timestamped cache-tier I/O
- *   done/cached/failed/rejected/expired [instant]  terminal marker
+ *   done/cached/failed/rejected [instant]  terminal marker
  */
 
 #ifndef POWERMOVE_SERVICE_OBSERVE_HPP
@@ -72,20 +70,11 @@ enum class TierIndex : std::size_t
 /** Stable tier label, e.g. "memory". */
 std::string_view tierName(TierIndex tier);
 
-/** Number of priority classes the latency histograms distinguish. */
-inline constexpr std::size_t kNumPriorityClasses = 3;
-
-/** 0 = low (< 0), 1 = normal (0), 2 = high (> 0). */
-std::size_t priorityClassIndex(int priority);
-
-/** Stable priority-class label, e.g. "normal". */
-std::string_view priorityClassName(int priority);
-
 /**
  * Every service-layer metric handle, registered and resolved once at
  * service construction so the instrumented paths touch only atomics.
  * Registering twice against the same registry returns the same
- * underlying series (both service front-ends may share one registry).
+ * underlying series (several JobServices may share one registry).
  */
 struct ServiceMetricHandles
 {
@@ -96,8 +85,8 @@ struct ServiceMetricHandles
     std::array<obs::Counter *, kNumJobStates> state_total;
     /** Indexed by static_cast<size_t>(TierIndex). */
     std::array<obs::Counter *, kNumTiers> tier_total;
-    std::array<obs::Histogram *, kNumPriorityClasses> wait_us;
-    std::array<obs::Histogram *, kNumPriorityClasses> run_us;
+    obs::Histogram *wait_us;
+    obs::Histogram *run_us;
     std::array<obs::Histogram *, kNumPasses> pass_wall_us;
     std::array<obs::Counter *, kNumPasses> pass_invocations;
     /** Indexed by static_cast<size_t>(PassCounter). */

@@ -20,8 +20,6 @@ jobStateName(JobState state)
         return "failed";
     case JobState::Rejected:
         return "rejected";
-    case JobState::Expired:
-        return "expired";
     }
     return "unknown";
 }
@@ -34,7 +32,6 @@ jobStateIsTerminal(JobState state)
     case JobState::Done:
     case JobState::Failed:
     case JobState::Rejected:
-    case JobState::Expired:
         return true;
     case JobState::Queued:
     case JobState::Admitted:

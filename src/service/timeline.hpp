@@ -7,7 +7,6 @@
  *   Queued ──► Rejected                    (admission control: queue full)
  *   Queued ──► Cached                      (memory hit at submit)
  *   Queued ──► Admitted ──► Cached         (disk hit on a worker)
- *   Queued ──► Admitted ──► Expired        (deadline passed before start)
  *   Queued ──► Admitted ──► Running ──► Done | Failed
  *
  * Each transition is recorded with a steady-clock timestamp into the
@@ -15,8 +14,8 @@
  * job finished — the record is how callers attribute latency to queue
  * wait vs. compilation vs. cache service.
  *
- * Terminal states are Cached, Done, Failed, Rejected, and Expired;
- * exactly one of them ends every timeline.
+ * Terminal states are Cached, Done, Failed, and Rejected; exactly one
+ * of them ends every timeline.
  */
 
 #ifndef POWERMOVE_SERVICE_TIMELINE_HPP
@@ -49,12 +48,10 @@ enum class JobState : std::uint8_t
     Failed,
     /** Refused by admission control: the shard queue was full (terminal). */
     Rejected,
-    /** Deadline passed while still waiting in the queue (terminal). */
-    Expired,
 };
 
 /** Number of JobState values. */
-inline constexpr std::size_t kNumJobStates = 8;
+inline constexpr std::size_t kNumJobStates = 7;
 
 /** Stable lower-case state name, e.g. "running". */
 std::string_view jobStateName(JobState state);

@@ -213,6 +213,31 @@ TEST(DiskCacheTest, TruncatedEntryFileIsAMissAndIsDeleted)
     EXPECT_TRUE(cache.load(key, machine) != nullptr);
 }
 
+TEST(DiskCacheTest, DeletedEntryFileLeavesTheIndex)
+{
+    const TempDir dir("deleted");
+    const CompileJob job = smallJob();
+    const Machine machine(job.machine);
+    const std::uint64_t key = jobFingerprint(job);
+
+    DiskCache cache(cacheOptions(dir.str()));
+    cache.store(key, compileDirect(job, machine));
+    const fs::path entry = soleEntryFile(dir.path());
+    ASSERT_FALSE(entry.empty());
+    ASSERT_GT(cache.stats().bytes, 0u);
+
+    // Removed behind the cache's back: the miss must also drop the
+    // index entry, or its bytes keep counting against the budget.
+    fs::remove(entry);
+    EXPECT_EQ(cache.load(key, machine), nullptr);
+    EXPECT_FALSE(cache.contains(key));
+    const DiskCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.corrupt, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+}
+
 TEST(DiskCacheTest, FlippedPayloadBitFailsTheChecksum)
 {
     const TempDir dir("bitflip");

@@ -7,7 +7,7 @@
  * illegal or incomplete schedule fails the hardware validator here.
  *
  * The JobService sweep additionally randomizes the service axes —
- * priority, deadline, and a shared on-disk cache directory — and pins
+ * shard/worker geometry and a shared on-disk cache directory — and pins
  * the determinism contract: whatever path a job takes through the async
  * service, its schedule is byte-identical to a single-threaded
  * effectiveOptions() replay.
@@ -191,25 +191,19 @@ TEST_P(PipelineFuzz, JobServiceMatchesEffectiveOptionsReplay)
         circuit, MachineConfig::forQubits(param.num_qubits), options};
 
     // Randomize the service axes from the case seed: shard/worker
-    // geometry, priority, deadline, and whether the shared disk cache
-    // participates. Submitting the same job twice exercises a second
-    // tier (coalesced or memory) in the same case.
+    // geometry and whether the shared disk cache participates.
+    // Submitting the same job twice exercises a second tier (coalesced
+    // or memory) in the same case.
     Rng rng(param.seed ^ 0x6a6f627376ULL); // "jobsv"
     service::JobServiceOptions service_options;
     service_options.num_shards = 1 + rng.nextBelow(3);
     service_options.workers_per_shard = 1 + rng.nextBelow(2);
     if (rng.nextBool(0.5))
         service_options.cache_dir = sharedFuzzCacheDir();
-    const int priority = static_cast<int>(rng.nextBelow(11)) - 5;
-    // Most jobs run without a deadline or with a generous one; a slice
-    // gets a sub-microsecond deadline that may legitimately expire.
-    const double deadline_ms = rng.nextBool(0.2)   ? 1e-6
-                               : rng.nextBool(0.5) ? 60000.0
-                                                   : 0.0;
 
     service::JobService svc(service_options);
-    service::JobTicket first = svc.submit(job, priority, deadline_ms);
-    service::JobTicket second = svc.submit(job, priority, deadline_ms);
+    service::JobTicket first = svc.submit(job);
+    service::JobTicket second = svc.submit(job);
 
     const Machine machine(job.machine);
     const PowerMoveCompiler direct(machine,
@@ -218,19 +212,10 @@ TEST_P(PipelineFuzz, JobServiceMatchesEffectiveOptionsReplay)
         service::serializeResultWitness(direct.compile(circuit));
 
     for (service::JobTicket *ticket : {&first, &second}) {
-        try {
-            const service::JobResult out = ticket->result.get();
-            ASSERT_TRUE(out.result);
-            EXPECT_EQ(service::serializeResultWitness(*out.result), replay_bytes)
-                << "seed=" << param.seed;
-        } catch (const service::ExpiredError &) {
-            // Only the instant deadline may expire, and the record must
-            // say so.
-            EXPECT_LE(deadline_ms, 1e-6) << "seed=" << param.seed;
-            const auto status = svc.status(ticket->id);
-            ASSERT_TRUE(status.has_value());
-            EXPECT_EQ(status->state, service::JobState::Expired);
-        }
+        const service::JobResult out = ticket->result.get();
+        ASSERT_TRUE(out.result);
+        EXPECT_EQ(service::serializeResultWitness(*out.result), replay_bytes)
+            << "seed=" << param.seed;
     }
 }
 

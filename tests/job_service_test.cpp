@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the JobService: lifecycle timelines, priority ordering,
- * deadline expiry, admission control, sharding, the memory cache (LRU
+ * Tests for the JobService: lifecycle timelines, FIFO queueing, the
+ * worker bound, admission control, sharding, the memory cache (LRU
  * eviction, zero capacity), coalescing, machine interning and expiry,
  * failure propagation, the disk tier, and determinism against the
  * effectiveOptions() replay rule and across pool sizes.
@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -127,7 +129,7 @@ TEST(TimelineTest, RecordsAndQueriesTransitions)
     EXPECT_EQ(jobStateName(JobState::Queued), "queued");
     EXPECT_EQ(jobStateName(JobState::Rejected), "rejected");
     EXPECT_FALSE(jobStateIsTerminal(JobState::Running));
-    EXPECT_TRUE(jobStateIsTerminal(JobState::Expired));
+    EXPECT_TRUE(jobStateIsTerminal(JobState::Rejected));
 }
 
 TEST(JobServiceTest, SubmitReturnsIdAndTracksLifecycle)
@@ -405,114 +407,84 @@ TEST(JobServiceTest, AdmissionControlRejectsBeyondMaxQueue)
     svc.waitIdle();
 }
 
-TEST(JobServiceTest, HigherPriorityJobsRunFirst)
+TEST(JobServiceTest, QueuedJobsRunInSubmissionOrder)
 {
-    // One worker; jam it with a decoy so the real submissions queue up,
-    // then check completion order follows priority, not arrival.
-    JobServiceOptions options;
-    options.num_shards = 1;
-    options.workers_per_shard = 1;
-    options.cache_capacity = 0;
+    // One worker, jammed by a decoy, so the real submissions queue up
+    // behind it and must start in the order they were submitted.
+    JobService svc(shardOptions(1, 1, 0));
+    (void)svc.submit(smallJob(12));
+    std::vector<JobTicket> tickets;
+    for (std::size_t v = 1; v <= 4; ++v)
+        tickets.push_back(svc.submit(smallJob(v)));
+    svc.waitIdle();
 
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        JobService svc(options);
-        (void)svc.submit(smallJob(12)); // decoy occupies the worker
-        JobTicket low = svc.submit(smallJob(1), /*priority=*/-5);
-        JobTicket high = svc.submit(smallJob(2), /*priority=*/5);
-        svc.waitIdle();
-
-        const auto low_status = svc.status(low.id);
-        const auto high_status = svc.status(high.id);
-        ASSERT_TRUE(low_status && high_status);
-        ASSERT_EQ(low_status->state, JobState::Done);
-        ASSERT_EQ(high_status->state, JobState::Done);
-
-        // The worker may have popped the low-priority job before the
-        // high one was even submitted; retry until the race lands the
-        // intended way (the decoy makes that overwhelmingly likely).
-        const auto high_done = high_status->timeline.events().back().at;
-        const auto low_done = low_status->timeline.events().back().at;
-        if (high_done <= low_done)
-            return; // observed: high finished no later than low
+    for (std::size_t i = 1; i < tickets.size(); ++i) {
+        const auto earlier = svc.status(tickets[i - 1].id);
+        const auto later = svc.status(tickets[i].id);
+        ASSERT_TRUE(earlier && later);
+        const TimelineEvent *earlier_run =
+            earlier->timeline.find(JobState::Running);
+        const TimelineEvent *later_run =
+            later->timeline.find(JobState::Running);
+        ASSERT_TRUE(earlier_run && later_run);
+        EXPECT_LE(earlier_run->at, later_run->at) << "job " << i;
     }
-    FAIL() << "high-priority job never finished before the low one";
-}
-
-TEST(JobServiceTest, DuplicateSubmissionInheritsTheHigherPriority)
-{
-    JobServiceOptions options;
-    options.num_shards = 1;
-    options.workers_per_shard = 1;
-    options.cache_capacity = 0;
-
-    JobService svc(options);
-    (void)svc.submit(smallJob(12)); // occupy the worker
-    JobTicket first = svc.submit(smallJob(3), /*priority=*/-1);
-    JobTicket boost = svc.submit(smallJob(3), /*priority=*/9);
-
-    const JobResult a = first.result.get();
-    const JobResult b = boost.result.get();
-    // Both resolve from the same compilation: one Compiled, one
-    // Coalesced, sharing the result object.
-    EXPECT_EQ(a.result.get(), b.result.get());
-    EXPECT_EQ(a.source, ResultSource::Compiled);
-    EXPECT_EQ(b.source, ResultSource::Coalesced);
-    EXPECT_EQ(svc.stats().coalesced, 1u);
-    svc.waitIdle();
-}
-
-TEST(JobServiceTest, ExpiredDeadlineFailsWhileQueuedJobs)
-{
-    JobServiceOptions options;
-    options.num_shards = 1;
-    options.workers_per_shard = 1;
-    options.cache_capacity = 0;
-
-    JobService svc(options);
-    (void)svc.submit(smallJob(10)); // keep the worker busy
-    // An already-impossible deadline: expired the moment a worker looks.
-    JobTicket doomed =
-        svc.submit(smallJob(2), /*priority=*/0, /*deadline_ms=*/1e-6);
-    EXPECT_THROW(doomed.result.get(), ExpiredError);
-
-    const auto status = svc.status(doomed.id);
-    ASSERT_TRUE(status.has_value());
-    EXPECT_EQ(status->state, JobState::Expired);
-    EXPECT_EQ(svc.stats().expired, 1u);
-    svc.waitIdle();
 }
 
 TEST(JobServiceTest, TerminalStateSurvivesAnIdleWorkerRace)
 {
     // Workers of a fresh service find the queue non-empty without waiting
-    // for a wake-up, so a job can expire before submit() returns. Its
-    // record must still end Expired, never be overwritten by Admitted.
-    // The race is timing-dependent; thousands of rounds expose it.
-    const CompileJob job = smallJob();
+    // for a wake-up, so a worker can run a job, and fail it, before
+    // submit() returns. Admitted must still be the job's second event
+    // and Failed its last, never overwritten by a late Admitted. A
+    // client polling status() contends for the record lock the way
+    // submit() does; that widens the window in which a submit() that
+    // recorded Admitted after releasing the shard lock would lose the
+    // race. The race is timing-dependent; thousands of rounds expose it.
+    const CompileJob job = tooBigJob();
     for (std::size_t round = 0; round < 5000; ++round) {
         JobService svc(shardOptions(1, 4, 0));
-        JobTicket first =
-            svc.submit(job, /*priority=*/0, /*deadline_ms=*/1e-6);
-        // Coalesces onto the first unless a worker already took it.
-        JobTicket second =
-            svc.submit(job, /*priority=*/0, /*deadline_ms=*/1e-6);
+        std::atomic<bool> stop{false};
+        std::thread poller([&] {
+            while (!stop.load(std::memory_order_relaxed))
+                (void)svc.status(1);
+        });
+        JobTicket first = svc.submit(job);
+        // Coalesces onto the first unless a worker already finished it.
+        JobTicket second = svc.submit(job);
         for (JobTicket *doomed : {&first, &second}) {
-            EXPECT_THROW(doomed->result.get(), ExpiredError);
+            EXPECT_THROW(doomed->result.get(), ConfigError);
             const auto status = svc.status(doomed->id);
             ASSERT_TRUE(status.has_value());
-            EXPECT_EQ(status->state, JobState::Expired) << "round=" << round;
+            EXPECT_EQ(status->state, JobState::Failed) << "round=" << round;
+            const auto &events = status->timeline.events();
+            ASSERT_GE(events.size(), 3u) << "round=" << round;
+            EXPECT_EQ(events[1].state, JobState::Admitted)
+                << "round=" << round;
         }
+        stop = true;
+        poller.join();
     }
 }
 
-TEST(JobServiceTest, GenerousDeadlineDoesNotExpire)
+TEST(JobServiceTest, WorkerCountBeyondTheLimitIsAConfigError)
 {
-    JobService svc(shardOptions(2, 1, 16));
-    JobTicket ticket =
-        svc.submit(smallJob(), /*priority=*/0, /*deadline_ms=*/60000.0);
-    const JobResult out = ticket.result.get();
-    ASSERT_TRUE(out.result);
-    EXPECT_EQ(svc.stats().expired, 0u);
+    // Counts whose product overflows std::size_t, and a count no pool
+    // could reserve: each is refused before any thread starts.
+    constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(JobService(shardOptions(4, kHuge / 4, 0)), ConfigError);
+    EXPECT_THROW(JobService(shardOptions(kHuge, kHuge, 0)), ConfigError);
+    EXPECT_THROW(JobService(shardOptions(1, kHuge, 0)), ConfigError);
+    try {
+        JobService svc(shardOptions(2, kHuge, 0));
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("256"), std::string::npos)
+            << e.what();
+    }
+    // The limit itself is accepted.
+    JobService svc(shardOptions(1, kMaxWorkers, 0));
+    EXPECT_EQ(svc.stats().workers_per_shard, kMaxWorkers);
 }
 
 TEST(JobServiceTest, ShardsPartitionJobsByFingerprint)
@@ -596,7 +568,7 @@ TEST(JobServiceTest, DiskEntryOfAnotherJobFailsWithValidationError)
 
 TEST(JobServiceTest, ResultsMatchEffectiveOptionsReplay)
 {
-    // The determinism bar: whatever the shard/priority/cache path, the
+    // The determinism bar: whatever the shard/queue/cache path, the
     // service's schedule is byte-identical to a single-threaded direct
     // compile with effectiveOptions().
     JobServiceOptions options;
@@ -609,9 +581,8 @@ TEST(JobServiceTest, ResultsMatchEffectiveOptionsReplay)
         jobs.push_back(smallJob(v));
 
     std::vector<JobTicket> tickets;
-    for (std::size_t v = 0; v < jobs.size(); ++v)
-        tickets.push_back(
-            svc.submit(jobs[v], static_cast<int>(v % 3) - 1));
+    for (const CompileJob &job : jobs)
+        tickets.push_back(svc.submit(job));
 
     for (std::size_t v = 0; v < jobs.size(); ++v) {
         const JobResult out = tickets[v].result.get();
@@ -758,7 +729,7 @@ TEST(JobServiceTest, ConcurrentSuiteStress)
     EXPECT_EQ(stats.compiled, jobs.size());
     EXPECT_EQ(stats.coalesced + stats.memory_hits,
               (kSubmitters - 1) * jobs.size());
-    EXPECT_EQ(stats.failed + stats.rejected + stats.expired, 0u);
+    EXPECT_EQ(stats.failed + stats.rejected, 0u);
 }
 
 TEST(JobServiceTest, FinishedRecordPruningForgetsOldestFirst)

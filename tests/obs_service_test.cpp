@@ -93,8 +93,7 @@ sumTerminalStates(obs::MetricsRegistry &registry)
 {
     std::uint64_t sum = 0;
     for (const JobState state : {JobState::Cached, JobState::Done,
-                                 JobState::Failed, JobState::Rejected,
-                                 JobState::Expired})
+                                 JobState::Failed, JobState::Rejected})
         sum += stateCount(registry, state);
     return sum;
 }
@@ -149,12 +148,8 @@ TEST(ObsServiceTest, ExpositionCoversEveryStateTierAndPassAtZero)
         series += "\"} 0";
         EXPECT_NE(text.find(series), std::string::npos) << series;
     }
-    for (const char *priority : {"low", "normal", "high"}) {
-        EXPECT_NE(text.find("powermove_job_wait_us_count{priority=\"" +
-                            std::string(priority) + "\"} 0"),
-                  std::string::npos)
-            << priority;
-    }
+    EXPECT_NE(text.find("powermove_job_wait_us_count 0"), std::string::npos);
+    EXPECT_NE(text.find("powermove_job_run_us_count 0"), std::string::npos);
     EXPECT_NE(text.find("powermove_jobs_submitted_total 0"),
               std::string::npos);
     EXPECT_NE(text.find("powermove_shard_queue_depth{shard=\"0\"}"),
@@ -218,22 +213,16 @@ TEST(ObsServiceTest, EveryTerminalOutcomeIncrementsExactlyOneStateCounter)
     CompileJob bad = smallJob(2);
     bad.options.num_aods = 0;
     EXPECT_THROW(svc.submit(bad).result.get(), ConfigError);
-    // Expired: an already-impossible deadline behind a queued stream.
-    (void)svc.submit(smallJob(3));
-    JobTicket doomed =
-        svc.submit(smallJob(4), /*priority=*/0, /*deadline_ms=*/1e-6);
-    EXPECT_THROW(doomed.result.get(), ExpiredError);
     svc.waitIdle();
 
     const JobServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.submitted, 5u);
+    EXPECT_EQ(stats.submitted, 3u);
 
     // Exactly one terminal counter per submission, no double counting.
     EXPECT_EQ(sumTerminalStates(bundle->metrics), stats.submitted);
-    EXPECT_GE(stateCount(bundle->metrics, JobState::Done), 1u);
+    EXPECT_EQ(stateCount(bundle->metrics, JobState::Done), 1u);
     EXPECT_EQ(stateCount(bundle->metrics, JobState::Cached), 1u);
     EXPECT_EQ(stateCount(bundle->metrics, JobState::Failed), 1u);
-    EXPECT_EQ(stateCount(bundle->metrics, JobState::Expired), 1u);
     EXPECT_EQ(stateCount(bundle->metrics, JobState::Rejected), 0u);
 
     // The tier counters mirror the stats-side attribution.

@@ -194,19 +194,12 @@ TEST(AppendJobTraceTest, DiskIoBecomesRealTimestampedSpans)
     EXPECT_EQ(countOccurrences(json, "\"cat\":\"cache\""), 2u);
 }
 
-TEST(ObserveHelpersTest, TierAndPriorityNames)
+TEST(ObserveHelpersTest, TierNames)
 {
     EXPECT_EQ(tierName(TierIndex::Coalesced), "coalesced");
     EXPECT_EQ(tierName(TierIndex::Memory), "memory");
     EXPECT_EQ(tierName(TierIndex::Disk), "disk");
     EXPECT_EQ(tierName(TierIndex::Miss), "miss");
-
-    EXPECT_EQ(priorityClassIndex(-5), 0u);
-    EXPECT_EQ(priorityClassIndex(0), 1u);
-    EXPECT_EQ(priorityClassIndex(3), 2u);
-    EXPECT_EQ(priorityClassName(-1), "low");
-    EXPECT_EQ(priorityClassName(0), "normal");
-    EXPECT_EQ(priorityClassName(2), "high");
 }
 
 } // namespace

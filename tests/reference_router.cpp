@@ -273,7 +273,6 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
     double best_distance = std::numeric_limits<double>::infinity();
     std::size_t best_moves = 0;
     bool have_best = false;
-    std::size_t window_wins = 0;
 
     for (std::uint32_t k = 0; k < window_; ++k) {
         const std::uint64_t route_seed = splitMix64(derive_state);
@@ -299,7 +298,7 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
             (distance == best_distance && plan.moves.size() < best_moves);
         if (better) {
             if (have_best && k > 0)
-                ++window_wins;
+                ++window_wins_;
             best = std::move(plan);
             best_distance = distance;
             best_moves = best.moves.size();
@@ -315,8 +314,6 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
     for (const auto &move : best.moves)
         layout.place(move.qubit, move.to);
 
-    best.num_candidates = window_;
-    best.num_window_wins = window_wins;
     return best;
 }
 

@@ -120,6 +120,9 @@ class WindowedRouter
     const RouterOptions &options() const { return options_; }
     std::uint32_t window() const { return window_; }
 
+    /** Shuffled orderings that beat the incumbent, over all transitions. */
+    std::size_t windowWins() const { return window_wins_; }
+
   private:
     const Machine &machine_;
     RouterOptions options_;
@@ -133,6 +136,7 @@ class WindowedRouter
     ContinuousRouter inner_;
     std::optional<Layout> scratch_; // sized lazily to the circuit width
     Stage candidate_stage_;         // reused gate-permutation buffer
+    std::size_t window_wins_ = 0;
 };
 
 /**

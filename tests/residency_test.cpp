@@ -209,9 +209,8 @@ TEST(ResidencyRouterTest, PersistentPoliciesCarryResidencyAcrossBlocks)
             router.planStageTransition(layout, stage);
         EXPECT_EQ(router.numResidents(), 0u);
         router.beginBlock(final_block, 4, /*final_block=*/true);
-        const auto plan =
-            router.planStageTransition(layout, final_block.front());
-        EXPECT_EQ(plan.num_reuse_hits, 0u);
+        router.planStageTransition(layout, final_block.front());
+        EXPECT_EQ(router.reuseStats().hits, 0u);
         router.endProgram();
     }
 
@@ -230,9 +229,8 @@ TEST(ResidencyRouterTest, PersistentPoliciesCarryResidencyAcrossBlocks)
         EXPECT_TRUE(router.isResident(1));
         router.beginBlock(final_block, 4, /*final_block=*/true);
         EXPECT_EQ(router.numResidents(), 2u) << "survived the boundary";
-        const auto plan =
-            router.planStageTransition(layout, final_block.front());
-        EXPECT_EQ(plan.num_reuse_hits, 2u);
+        router.planStageTransition(layout, final_block.front());
+        EXPECT_EQ(router.reuseStats().hits, 2u);
         router.endProgram();
         EXPECT_EQ(router.numResidents(), 0u);
         EXPECT_EQ(router.residencyStats().holds_started,

@@ -171,9 +171,9 @@ TEST_F(ReuseRouterTest, SoonReusedQubitsStayResident)
     // both are held in the compute zone; the co-located pair must be
     // split so the intervening pulse sees no unwanted blockade.
     const auto plan = router.planStageTransition(layout, stages[1]);
-    EXPECT_EQ(plan.num_held, 2u);
+    EXPECT_EQ(router.reuseStats().held, 2u);
     EXPECT_EQ(plan.num_parked, 0u);
-    EXPECT_EQ(plan.num_reuse_relocated, 1u);
+    EXPECT_EQ(router.reuseStats().relocated, 1u);
     EXPECT_EQ(layout.zoneOf(0), ZoneKind::Compute);
     EXPECT_EQ(layout.zoneOf(1), ZoneKind::Compute);
     EXPECT_NE(layout.siteOf(0), layout.siteOf(1));
@@ -182,8 +182,9 @@ TEST_F(ReuseRouterTest, SoonReusedQubitsStayResident)
 
     // Stage 2: the held qubits are consumed by their gate — two hits,
     // and the transition needs no storage retrieval for them.
-    const auto final_plan = router.planStageTransition(layout, stages[2]);
-    EXPECT_EQ(final_plan.num_reuse_hits, 2u);
+    router.planStageTransition(layout, stages[2]);
+    EXPECT_EQ(router.reuseStats().hits, 2u);
+    EXPECT_EQ(router.reuseStats().held, 2u); // no new holds
     EXPECT_EQ(layout.siteOf(0), layout.siteOf(1));
     EXPECT_EQ(router.residencyStats().holds_started, 2u);
     EXPECT_EQ(router.residencyStats().holds_ended, 2u);
@@ -202,9 +203,10 @@ TEST_F(ReuseRouterTest, QubitsBeyondTheWindowParkInStorage)
 
     router.planStageTransition(layout, stages[0]);
     const auto plan = router.planStageTransition(layout, stages[1]);
-    EXPECT_EQ(plan.num_held, 0u);
+    EXPECT_EQ(router.reuseStats().held, 0u);
     EXPECT_EQ(plan.num_parked, 2u);
-    EXPECT_EQ(plan.num_lookahead_misses, 2u);
+    EXPECT_EQ(router.reuseStats().window_misses, 2u);
+    EXPECT_EQ(router.reuseStats().parked_no_reuse, 0u);
     EXPECT_EQ(layout.zoneOf(0), ZoneKind::Storage);
     EXPECT_EQ(layout.zoneOf(1), ZoneKind::Storage);
 }

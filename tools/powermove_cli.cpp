@@ -15,15 +15,11 @@
  *
  * Options:
  *   --jobs N       worker threads, spread over min(N, 4) shards
- *                  (default: one per hardware thread)
+ *                  (default: one per hardware thread; at most 256)
  *   --jobs-async   accepted, no effect (kept for older scripts)
  *   --cache-dir DIR  persistent on-disk compile cache: results survive
  *                  restarts and are shared across processes pointed at
  *                  the same directory
- *   --priority P   job priority for every input (higher runs earlier;
- *                  may be negative)
- *   --deadline-ms D  per-job queue-wait bound in milliseconds; jobs
- *                  still queued past it expire
  *   --max-queue N  per-shard admission bound: queued jobs beyond it are
  *                  rejected (default 0 = unbounded, so one call admits
  *                  every input it names)
@@ -91,6 +87,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,10 +117,6 @@ struct CliOptions
     std::string out_dir;
     /** Persistent disk-cache directory; empty disables the disk tier. */
     std::string cache_dir;
-    /** Priority applied to every submission. */
-    int priority = 0;
-    /** Queue-wait deadline per job in ms; 0 = none. */
-    double deadline_ms = 0.0;
     /**
      * Per-shard admission bound; 0 = unbounded. The CLI submits each
      * input as soon as it is read, faster than the workers drain them,
@@ -163,16 +156,11 @@ printUsage(std::FILE *stream)
         "\n"
         "options:\n"
         "  --jobs N       worker threads over min(N, 4) shards\n"
-        "                 (default: hardware concurrency)\n"
+        "                 (default: hardware concurrency; at most 256)\n"
         "  --jobs-async   accepted, no effect\n"
         "  --cache-dir DIR\n"
         "                 persistent on-disk compile cache shared across\n"
         "                 runs and processes\n"
-        "  --priority P   per-input job priority, higher runs earlier\n"
-        "                 (may be negative)\n"
-        "  --deadline-ms D\n"
-        "                 queue-wait bound per job in milliseconds\n"
-        "                 (0 = none)\n"
         "  --max-queue N  per-shard admission bound, 0 = unbounded\n"
         "                 (default 0)\n"
         "  --num-aods N   independent AOD arrays (default 1)\n"
@@ -298,10 +286,9 @@ expandArgs(int argc, char **argv)
         "--batch-policy",
         "--out-dir",
         "--placement-refine-iters", "--stage-partition",
-        "--cache-dir", "--priority",        "--deadline-ms",
-        "--max-queue", "--metrics-out",     "--metrics-json",
-        "--trace-out", "--log-level",       "--slow-job-ms",
-        "--stats-every-ms", "--stats-json",
+        "--cache-dir", "--max-queue",       "--metrics-out",
+        "--metrics-json", "--trace-out",    "--log-level",
+        "--slow-job-ms", "--stats-every-ms", "--stats-json",
     };
     std::vector<std::string> args;
     args.reserve(static_cast<std::size_t>(argc));
@@ -399,31 +386,6 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             if (!numeric("--max-queue", i, value))
                 return false;
             cli.max_queue = static_cast<std::size_t>(value);
-        } else if (arg == "--priority") {
-            if (!take_value("--priority", i, text))
-                return false;
-            char *end = nullptr;
-            const long priority = std::strtol(text.c_str(), &end, 0);
-            if (end == text.c_str() || *end != '\0') {
-                std::fprintf(stderr,
-                             "powermove: bad value for --priority: '%s'\n",
-                             text.c_str());
-                return false;
-            }
-            cli.priority = static_cast<int>(priority);
-        } else if (arg == "--deadline-ms") {
-            if (!take_value("--deadline-ms", i, text))
-                return false;
-            char *end = nullptr;
-            const double deadline = std::strtod(text.c_str(), &end);
-            if (end == text.c_str() || *end != '\0' || deadline < 0.0) {
-                std::fprintf(stderr,
-                             "powermove: --deadline-ms must be >= 0, got "
-                             "'%s'\n",
-                             text.c_str());
-                return false;
-            }
-            cli.deadline_ms = deadline;
         } else if (arg == "--num-aods") {
             if (!numeric("--num-aods", i, value))
                 return false;
@@ -623,7 +585,6 @@ statsToJson(const service::JobServiceStats &stats)
     appendJsonCount(out, "  ", "compiled", stats.compiled);
     appendJsonCount(out, "  ", "failed", stats.failed);
     appendJsonCount(out, "  ", "rejected", stats.rejected);
-    appendJsonCount(out, "  ", "expired", stats.expired);
     appendJsonCount(out, "  ", "queued", stats.queued);
     const service::DiskCacheStats &disk = stats.disk;
     out += "  \"disk\": {\n";
@@ -683,7 +644,15 @@ main(int argc, char **argv)
         options.workers_per_shard =
             std::max<std::size_t>(1, cli.jobs / options.num_shards);
     }
-    service::JobService svc(options);
+    // A bad --cache-dir or an oversized --jobs fails here, before any
+    // input is read.
+    std::optional<service::JobService> svc;
+    try {
+        svc.emplace(options);
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "powermove: %s\n", e.what());
+        return 1;
+    }
 
     // One stats line every --stats-every-ms, plus a final one at
     // shutdown (the reporter fires once on destruction if it never
@@ -692,7 +661,7 @@ main(int argc, char **argv)
     if (cli.stats_every_ms > 0)
         reporter = std::make_unique<obs::PeriodicReporter>(
             std::chrono::milliseconds(cli.stats_every_ms), [&] {
-                const service::JobServiceStats s = svc.stats();
+                const service::JobServiceStats s = svc->stats();
                 bundle->log.info("stats", {{"submitted", s.submitted},
                                            {"queued", s.queued},
                                            {"coalesced", s.coalesced},
@@ -700,8 +669,7 @@ main(int argc, char **argv)
                                            {"disk_hits", s.disk_hits},
                                            {"compiled", s.compiled},
                                            {"failed", s.failed},
-                                           {"rejected", s.rejected},
-                                           {"expired", s.expired}});
+                                           {"rejected", s.rejected}});
             });
 
     // Load every input and submit it immediately, so the pool compiles
@@ -726,12 +694,10 @@ main(int argc, char **argv)
                 circuit = fuseCommutableBlocks(circuit);
             const MachineConfig config =
                 MachineConfig::forQubits(circuit.numQubits());
-            service::JobRequest request;
-            request.job = service::CompileJob{std::move(circuit), config,
-                                              cli.compiler};
-            request.priority = cli.priority;
-            request.deadline_ms = cli.deadline_ms;
-            flight.future = svc.submit(std::move(request)).result;
+            flight.future =
+                svc->submit(service::CompileJob{std::move(circuit), config,
+                                                cli.compiler})
+                    .result;
         } catch (const std::exception &e) {
             flight.load_error = e.what();
         }
@@ -792,14 +758,14 @@ main(int argc, char **argv)
     }
 
     if (cli.print_stats) {
-        const service::JobServiceStats stats = svc.stats();
+        const service::JobServiceStats stats = svc->stats();
         std::printf("job service: %zu shards x %zu workers; %zu submitted; "
                     "tiers: %zu coalesced / %zu memory / %zu disk / "
-                    "%zu compiled; %zu failed, %zu rejected, %zu expired\n",
+                    "%zu compiled; %zu failed, %zu rejected\n",
                     stats.num_shards, stats.workers_per_shard,
                     stats.submitted, stats.coalesced, stats.memory_hits,
                     stats.disk_hits, stats.compiled, stats.failed,
-                    stats.rejected, stats.expired);
+                    stats.rejected);
         if (!cli.cache_dir.empty())
             std::printf("disk cache: %zu hit / %zu miss / %zu stored / "
                         "%zu corrupt / %zu evicted (%zu entries, %llu "
@@ -816,7 +782,7 @@ main(int argc, char **argv)
     // Machine-readable exports, after the final stats line so the
     // registry snapshot includes everything the run observed.
     reporter.reset();
-    (void)svc.stats(); // refreshes the shard-imbalance gauge
+    (void)svc->stats(); // refreshes the shard-imbalance gauge
     if (bundle != nullptr) {
         if (!cli.metrics_out.empty() &&
             !writeTextFile(cli.metrics_out,
@@ -830,7 +796,7 @@ main(int argc, char **argv)
             ++failures;
     }
     if (!cli.stats_json.empty()) {
-        if (!writeTextFile(cli.stats_json, statsToJson(svc.stats())))
+        if (!writeTextFile(cli.stats_json, statsToJson(svc->stats())))
             ++failures;
     }
     return failures == 0 ? 0 : 1;
